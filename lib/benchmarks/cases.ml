@@ -200,9 +200,13 @@ let all ~quick =
      style (failwith is a bench crash, not a silent timing): per-task
      transition counts must stay flat across a 16x size span, and at
      12800 tasks SMAWK must spend strictly fewer transitions than the
-     divide-and-conquer solver on the identical instance. Counter
-     deltas are read from snapshots without Metrics.reset, so the
-     run-wide totals in the committed bench JSON stay intact. *)
+     divide-and-conquer solver on the identical instance. Each solve
+     must also allocate under one minor word per task: the tables and
+     the SMAWK workspace are allocated once per solve, so anything per
+     state is a regression (minor words, unlike ns/task, do not depend
+     on the machine). Counter deltas are read from snapshots without
+     Metrics.reset, so the run-wide totals in the committed bench JSON
+     stay intact. *)
   let dp_smawk_linearity =
     let counter name =
       match Metrics.find (Metrics.snapshot ()) name with
@@ -221,10 +225,18 @@ let all ~quick =
           let per_task =
             List.map
               (fun (n, problem) ->
+                let words = ref 0.0 in
                 let t =
                   delta "dp.smawk_transitions" (fun () ->
-                      ignore (Chain_dp.solve_smawk problem))
+                      let before = Gc.minor_words () in
+                      ignore (Chain_dp.solve_smawk problem);
+                      words := Gc.minor_words () -. before)
                 in
+                if !words > float_of_int n then
+                  failwith
+                    (Printf.sprintf
+                       "smawk allocation: %.0f minor words at n=%d (bound 1 per task)"
+                       !words n);
                 float_of_int t /. float_of_int n)
               problems
           in

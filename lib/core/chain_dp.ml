@@ -37,38 +37,34 @@ let schedule_of_choice_fn problem choice =
 let schedule_of_choices problem choices =
   schedule_of_choice_fn problem (Array.get choices)
 
-let solve problem =
+let solution_of problem value choice =
+  {
+    expected_makespan = T.fget value 0;
+    schedule = schedule_of_choice_fn problem (T.iget choice);
+  }
+
+(* value.(x) = optimal expected time for the suffix x..n-1;
+   choice.(x) = index of the last task of its first segment. Both live
+   in flat Bigarray SoA tables (Dp_tables) so million-task solves stay
+   off the OCaml heap; each row is one Segment_cost.row_min scan, whose
+   loop evaluates the transition inline, and bounds are established by
+   the loop structure, so the scan carries no per-call validation. *)
+let sweep problem =
   let n = Chain_problem.size problem in
   let kernel = Chain_problem.kernel problem in
-  (* value.(x) = optimal expected time for the suffix x..n-1;
-     choice.(x) = index of the last task of its first segment. Both
-     live in flat Bigarray SoA tables (Dp_tables) so million-task
-     solves stay off the OCaml heap; the transition cost goes through
-     the precomputed Segment_cost tables, and bounds are established
-     by the loop structure, so the inner loop carries no per-call
-     validation. *)
   let value = T.floats (n + 1) in
   let choice = T.ints n in
   for x = n - 1 downto 0 do
     Metrics.incr m_states;
     Metrics.incr ~by:(n - x) m_transitions;
-    let best = ref infinity and best_j = ref x in
-    for j = x to n - 1 do
-      let cur =
-        Segment_cost.cost_unsafe kernel ~first:x ~last:j +. T.fget value (j + 1)
-      in
-      if cur < !best then begin
-        best := cur;
-        best_j := j
-      end
-    done;
-    T.fset value x !best;
-    T.iset choice x !best_j
+    T.iset choice x
+      (Segment_cost.row_min kernel ~next:value ~row:x ~lo:x ~hi:(n - 1) ~into:value ~at:x)
   done;
-  {
-    expected_makespan = T.fget value 0;
-    schedule = schedule_of_choice_fn problem (T.iget choice);
-  }
+  (value, choice)
+
+let solve problem =
+  let value, choice = sweep problem in
+  solution_of problem value choice
 
 (* Faithful transcription of Algorithm 1 (DPMAKESPAN), with 0-based
    indices: DPMAKESPAN(x) treats tasks x..n-1 and returns the couple
@@ -119,51 +115,7 @@ let solve_memoized problem =
   let choice = Array.init n (fun x -> snd (dpmakespan x)) in
   { expected_makespan; schedule = schedule_of_choices problem choice }
 
-let dp_values problem =
-  let n = Chain_problem.size problem in
-  let kernel = Chain_problem.kernel problem in
-  let value = T.floats (n + 1) in
-  for x = n - 1 downto 0 do
-    Metrics.incr m_states;
-    Metrics.incr ~by:(n - x) m_transitions;
-    let best = ref infinity in
-    for j = x to n - 1 do
-      let cur =
-        Segment_cost.cost_unsafe kernel ~first:x ~last:j +. T.fget value (j + 1)
-      in
-      if cur < !best then best := cur
-    done;
-    T.fset value x !best
-  done;
-  T.to_float_array value
-
-let solve_bounded problem ~max_segment =
-  if max_segment < 1 then invalid_arg "Chain_dp.solve_bounded: max_segment must be >= 1";
-  let n = Chain_problem.size problem in
-  let kernel = Chain_problem.kernel problem in
-  let value = T.floats (n + 1) in
-  let choice = T.ints n in
-  for x = n - 1 downto 0 do
-    Metrics.incr m_states;
-    let best = ref infinity and best_j = ref x in
-    let last = Stdlib.min (n - 1) (x + max_segment - 1) in
-    Metrics.incr ~by:(last - x + 1) m_transitions;
-    for j = x to last do
-      let cur =
-        Segment_cost.cost_unsafe kernel ~first:x ~last:j +. T.fget value (j + 1)
-      in
-      if cur < !best then begin
-        best := cur;
-        best_j := j
-      end
-    done;
-    T.fset value x !best;
-    T.iset choice x !best_j
-  done;
-  {
-    expected_makespan = T.fget value 0;
-    schedule = schedule_of_choice_fn problem (T.iget choice);
-  }
+let dp_values problem = T.to_float_array (fst (sweep problem))
 
 (* --- Domain-parallel exhaustive sweep -------------------------------- *)
 
@@ -182,41 +134,21 @@ let solve_par ?domains problem =
     match domains with Some d -> d | None -> Domain_team.default_domains ()
   in
   if domains < 1 then invalid_arg "Chain_dp.solve_par: domains must be >= 1";
-  let value = T.floats (n + 1) in
-  let choice = T.ints n in
-  (* Leftmost strict-< scan of row x over decisions [jlo, jhi]: the
-     exact comparison sequence `solve` runs on that range. *)
-  let scan_row x jlo jhi =
-    let best = ref infinity and best_j = ref jlo in
-    for j = jlo to jhi do
-      let cur =
-        Segment_cost.cost_unsafe kernel ~first:x ~last:j +. T.fget value (j + 1)
-      in
-      if cur < !best then begin
-        best := cur;
-        best_j := j
-      end
-    done;
-    (!best, !best_j)
-  in
-  let finish x (best, best_j) =
-    Metrics.incr m_states;
-    Metrics.incr ~by:(n - x) m_transitions;
-    T.fset value x best;
-    T.iset choice x best_j
-  in
-  if domains = 1 || n < 2 * par_chunk then
-    (* Purely sequential path — identical to `solve`. *)
-    for x = n - 1 downto 0 do
-      finish x (scan_row x x (n - 1))
-    done
+  if domains = 1 || n < 2 * par_chunk then solve problem
   else begin
+    let value = T.floats (n + 1) in
+    let choice = T.ints n in
     let n_chunks = (n + par_chunk - 1) / par_chunk in
-    let slot_val = Array.make n_chunks infinity in
-    let slot_arg = Array.make n_chunks 0 in
+    let slot_val = T.floats n_chunks in
+    let slot_arg = T.ints n_chunks in
     Domain_team.with_team ~domains (fun team ->
         for x = n - 1 downto 0 do
-          if n - x < 2 * par_chunk then finish x (scan_row x x (n - 1))
+          Metrics.incr m_states;
+          Metrics.incr ~by:(n - x) m_transitions;
+          if n - x < 2 * par_chunk then
+            T.iset choice x
+              (Segment_cost.row_min kernel ~next:value ~row:x ~lo:x ~hi:(n - 1) ~into:value
+                 ~at:x)
           else begin
             let c0 = x / par_chunk in
             let tasks = n_chunks - c0 in
@@ -226,27 +158,25 @@ let solve_par ?domains problem =
                 let c = c0 + i in
                 let jlo = Stdlib.max x (c * par_chunk) in
                 let jhi = Stdlib.min (n - 1) (((c + 1) * par_chunk) - 1) in
-                let v, j = scan_row x jlo jhi in
-                slot_val.(i) <- v;
-                slot_arg.(i) <- j);
+                T.iset slot_arg i
+                  (Segment_cost.row_min kernel ~next:value ~row:x ~lo:jlo ~hi:jhi
+                     ~into:slot_val ~at:i));
             (* Merge in chunk order with strict <: the first chunk
                attaining the global minimum wins, which is exactly the
                leftmost argmin of the full left-to-right scan. *)
             let best = ref infinity and best_j = ref x in
             for i = 0 to tasks - 1 do
-              if slot_val.(i) < !best then begin
-                best := slot_val.(i);
-                best_j := slot_arg.(i)
+              if T.fget slot_val i < !best then begin
+                best := T.fget slot_val i;
+                best_j := T.iget slot_arg i
               end
             done;
-            finish x (!best, !best_j)
+            T.fset value x !best;
+            T.iset choice x !best_j
           end
-        done)
-  end;
-  {
-    expected_makespan = T.fget value 0;
-    schedule = schedule_of_choice_fn problem (T.iget choice);
-  }
+        done);
+    solution_of problem value choice
+  end
 
 (* --- Monotone divide-and-conquer solver ----------------------------- *)
 
@@ -280,44 +210,33 @@ let solve_dc ?(verify = true) problem =
     let value = T.floats (n + 1) in
     let best = T.floats ~init:infinity n in
     let choice = T.ints n in
-    let cost x j =
-      Segment_cost.cost_unsafe kernel ~first:x ~last:j +. T.fget value (j + 1)
-    in
+    let scan_min = T.floats 1 in
     (* Row minima of f over states xlo..xhi and decisions jlo..jhi
        (xhi <= jlo required, so value.(j+1) is final throughout):
-       evaluate the middle state's restricted range, split the decision
+       scan the middle state's restricted range, split the decision
        range at its argmin. Ties keep the smallest j, matching `solve`'s
        scan order, so the smallest-argmin monotonicity applies. *)
     let rec combine xlo xhi jlo jhi =
       if xlo <= xhi then begin
         let xm = (xlo + xhi) / 2 in
         Metrics.incr ~by:(jhi - jlo + 1) m_transitions;
-        let best_c = ref (cost xm jlo) and best_j = ref jlo in
-        for j = jlo + 1 to jhi do
-          let cur = cost xm j in
-          if cur < !best_c then begin
-            best_c := cur;
-            best_j := j
-          end
-        done;
-        if !best_c < T.fget best xm then begin
-          T.fset best xm !best_c;
-          T.iset choice xm !best_j
+        let j =
+          Segment_cost.row_min kernel ~next:value ~row:xm ~lo:jlo ~hi:jhi ~into:scan_min
+            ~at:0
+        in
+        if T.fget scan_min 0 < T.fget best xm then begin
+          T.fset best xm (T.fget scan_min 0);
+          T.iset choice xm j
         end;
-        combine xlo (xm - 1) jlo !best_j;
-        combine (xm + 1) xhi !best_j jhi
+        combine xlo (xm - 1) jlo j;
+        combine (xm + 1) xhi j jhi
       end
     in
     (* Invariant: value is final on r+1..n when rec_solve l r runs. *)
     let rec rec_solve l r =
       if l = r then begin
         Metrics.incr m_states;
-        Metrics.incr m_transitions;
-        let own = cost l l in
-        if own < T.fget best l then begin
-          T.fset best l own;
-          T.iset choice l l
-        end;
+        combine l l l l;
         T.fset value l (T.fget best l)
       end
       else begin
@@ -328,91 +247,61 @@ let solve_dc ?(verify = true) problem =
       end
     in
     rec_solve 0 (n - 1);
-    {
-      expected_makespan = T.fget value 0;
-      schedule = schedule_of_choice_fn problem (T.iget choice);
-    }
+    solution_of problem value choice
   end
 
 (* --- SMAWK linear-transition solver --------------------------------- *)
 
-(* Offline row minima of a totally monotone matrix [eval row col] over
-   explicit index sets, O(rows + cols) evaluations (SMAWK). Writes this
-   call's minimum for every row r of [rows] into loc_val.(r) and its
-   leftmost argmin into loc_arg.(r) (indexed by global row id; the
-   caller folds them into the global tables afterwards).
+(* Fold one combine's row minima (rows first .. first + rows − 1, read
+   from the SMAWK workspace) into the global tables. The tie rule
+   (strictly better, or equal with a smaller index) makes the final
+   choice the globally leftmost argmin whatever order the combines ran
+   in — `solve`'s single left-to-right scan semantics, and one rule
+   solve_dc's plain `<` fold does not guarantee. *)
+let fold_rows ws best choice ~first ~rows =
+  let minima = Segment_cost.minima ws and argmins = Segment_cost.argmins ws in
+  for i = 0 to rows - 1 do
+    let r = first + i in
+    let v = T.fget minima i and j = T.iget argmins i in
+    let bv = T.fget best r in
+    if v < bv || (Float.equal v bv && j < T.iget choice r) then begin
+      T.fset best r v;
+      T.iset choice r j
+    end
+  done
 
-   Tie discipline, load-bearing for the bit-for-bit contract with
-   `solve`: REDUCE pops a stacked column only when the new (larger)
-   column is {e strictly} better at the stack-depth row — on an exact
-   float tie the earlier column survives — and a column arriving at a
-   full stack is dropped (it cannot be a leftmost minimum anywhere);
-   INTERPOLATE scans its window left-to-right with strict <. Under the
-   total-monotonicity certificate both rules preserve the leftmost
-   argmin of every row exactly. *)
-let rec smawk ~eval ~loc_val ~loc_arg rows cols =
-  let nr = Array.length rows in
-  if nr > 0 && Array.length cols > 0 then begin
-    (* REDUCE: keep at most nr columns that can still carry a minimum. *)
-    let nc0 = Array.length cols in
-    let stack = Array.make nr 0 in
-    let top = ref 0 in
-    for ci = 0 to nc0 - 1 do
-      let c = Array.unsafe_get cols ci in
-      let continue = ref true in
-      while !continue && !top > 0 do
-        let r = Array.unsafe_get rows (!top - 1) in
-        if eval r c < eval r (Array.unsafe_get stack (!top - 1)) then decr top
-        else continue := false
-      done;
-      if !top < nr then begin
-        Array.unsafe_set stack !top c;
-        incr top
-      end
-    done;
-    let cols = Array.sub stack 0 !top in
-    let nc = !top in
-    (* Recurse on the odd-position rows with the surviving columns,
-       then interpolate the even-position rows: each minimum lies
-       between the neighbouring odd rows' argmins (inclusive), and
-       those argmins are members of [cols], so one monotone pointer
-       covers all even rows in O(nr + nc). *)
-    let odd = Array.init (nr / 2) (fun i -> rows.((2 * i) + 1)) in
-    smawk ~eval ~loc_val ~loc_arg odd cols;
-    let k = ref 0 in
-    let i = ref 0 in
-    while !i < nr do
-      let r = rows.(!i) in
-      let stop_col = if !i + 1 < nr then loc_arg.(rows.(!i + 1)) else cols.(nc - 1) in
-      let best = ref (eval r cols.(!k)) and best_j = ref cols.(!k) in
-      let j = ref (!k + 1) in
-      while !j < nc && cols.(!j) <= stop_col do
-        let v = eval r cols.(!j) in
-        if v < !best then begin
-          best := v;
-          best_j := cols.(!j)
-        end;
-        incr j
-      done;
-      loc_val.(r) <- !best;
-      loc_arg.(r) <- !best_j;
-      k := !j - 1;
-      i := !i + 2
-    done
+let combine kernel ws value best choice ~first ~rows ~lo ~hi =
+  Segment_cost.row_minima kernel ws ~next:value ~first ~rows ~lo ~hi;
+  fold_rows ws best choice ~first ~rows
+
+(* Intra-block decisions of states [a, b]: the solve_dc recursion with
+   SMAWK combines, right half first so value is final on the columns
+   each combine reads. *)
+let rec solve_block kernel ws value best choice a b =
+  if a = b then begin
+    combine kernel ws value best choice ~first:a ~rows:1 ~lo:a ~hi:a;
+    T.fset value a (T.fget best a)
+  end
+  else begin
+    let m = (a + b) / 2 in
+    solve_block kernel ws value best choice (m + 1) b;
+    combine kernel ws value best choice ~first:a ~rows:(m - a + 1) ~lo:m ~hi:b;
+    solve_block kernel ws value best choice a m
   end
 
 (* Blocked SMAWK chain solve; see docs/KERNELS.md for the sketch. The
    DP is "online" (f(x, j) needs the already-final value.(j+1)), which
    plain SMAWK cannot handle; blocks of [block] states processed right
    to left restore an offline shape: one far combine over the block's
-   rows × the decision window [u+1, hi] (all values final), then an
+   rows × the decision window [up+1, hi] (all values final), then an
    intra-block divide and conquer mirroring solve_dc's but with SMAWK
-   row minima. After a block, the window shrinks to hi = choice.(l) —
+   row minima. After a block, the window shrinks to hi = choice.(lo) —
    exact, because leftmost argmins are non-decreasing in x under the
    certificate. Total evaluations: O(n log block + Σ window spans),
    linear in n for the checkpoint instances (optimal segment lengths
    grow like √n, so windows stay narrow — the bench linearity gate
-   pins this). *)
+   pins this). Every combine runs on one workspace of O(block) words
+   allocated here, so the solve allocates nothing per state. *)
 let solve_smawk ?(verify = true) ?domains ?(block = 256) problem =
   if block < 2 then invalid_arg "Chain_dp.solve_smawk: block must be >= 2";
   let n = Chain_problem.size problem in
@@ -430,69 +319,25 @@ let solve_smawk ?(verify = true) ?domains ?(block = 256) problem =
     let value = T.floats (n + 1) in
     let best = T.floats ~init:infinity n in
     let choice = T.ints n in
-    let evals = ref 0 in
-    let eval x j =
-      incr evals;
-      Segment_cost.cost_unsafe kernel ~first:x ~last:j +. T.fget value (j + 1)
-    in
-    (* Per-combine scratch, indexed by global row id: combines run
-       sequentially, and smawk rewrites every row it is given. *)
-    let loc_val = Array.make n infinity in
-    let loc_arg = Array.make n 0 in
-    (* Fold one combine's row minima into the global tables. The tie
-       rule (strictly better, or equal with a smaller index) makes the
-       final choice the globally leftmost argmin whatever order the
-       combines ran in — `solve`'s single left-to-right scan semantics,
-       and one rule solve_dc's plain `<` fold does not guarantee. *)
-    let fold_row r v j =
-      let bv = T.fget best r in
-      if v < bv || (Float.equal v bv && j < T.iget choice r) then begin
-        T.fset best r v;
-        T.iset choice r j
-      end
-    in
-    let fold_rows rows = Array.iter (fun r -> fold_row r loc_val.(r) loc_arg.(r)) rows in
+    let ws = Segment_cost.workspace ~rows:(Stdlib.min block n) in
     let hi = ref (n - 1) in
     let l = ref ((n - 1) / block * block) in
     while !l >= 0 do
       let lo = !l in
       let up = Stdlib.min (n - 1) (lo + block - 1) in
       (* Far decisions [up+1, hi]: value.(j+1) final for all of them. *)
-      if up + 1 <= !hi then begin
-        let rows = Array.init (up - lo + 1) (fun i -> lo + i) in
-        let cols = Array.init (!hi - up) (fun i -> up + 1 + i) in
-        smawk ~eval ~loc_val ~loc_arg rows cols;
-        fold_rows rows
-      end;
-      (* Intra-block decisions [x, up], right half first so value is
-         final on the columns each combine reads. *)
-      let rec rec_solve a b =
-        if a = b then begin
-          fold_row a (eval a a) a;
-          T.fset value a (T.fget best a)
-        end
-        else begin
-          let m = (a + b) / 2 in
-          rec_solve (m + 1) b;
-          let rows = Array.init (m - a + 1) (fun i -> a + i) in
-          let cols = Array.init (b - m + 1) (fun i -> m + i) in
-          smawk ~eval ~loc_val ~loc_arg rows cols;
-          fold_rows rows;
-          rec_solve a m
-        end
-      in
-      rec_solve lo up;
+      if up + 1 <= !hi then
+        combine kernel ws value best choice ~first:lo ~rows:(up - lo + 1) ~lo:(up + 1) ~hi:!hi;
+      solve_block kernel ws value best choice lo up;
       hi := T.iget choice lo;
       l := lo - block
     done;
+    let evals = Segment_cost.evaluations ws in
     Metrics.incr ~by:n m_states;
     Metrics.incr ~by:n m_smawk_states;
-    Metrics.incr ~by:!evals m_transitions;
-    Metrics.incr ~by:!evals m_smawk_transitions;
-    {
-      expected_makespan = T.fget value 0;
-      schedule = schedule_of_choice_fn problem (T.iget choice);
-    }
+    Metrics.incr ~by:evals m_transitions;
+    Metrics.incr ~by:evals m_smawk_transitions;
+    solution_of problem value choice
   end
 
 (* value.(k·(n+1) + x): optimal expectation for the suffix x..n-1 using
@@ -503,26 +348,18 @@ let budget_tables problem max_k =
   let kernel = Chain_problem.kernel problem in
   let width = n + 1 in
   let value = T.floats ~init:infinity ((max_k + 1) * width) in
-  let choice = T.ints ~init:(-1) ((max_k + 1) * n) in
+  let choice = T.ints ((max_k + 1) * n) in
   T.fset value n 0.0;
+  let plane k = Bigarray.Array1.sub value (k * width) width in
   for k = 1 to max_k do
-    let vk = k * width and vk1 = (k - 1) * width and ck = k * n in
+    (* An infeasible suffix has value infinity in plane k − 1, so its
+       transitions are infinite and never win the strict-< scan. *)
+    let next = plane (k - 1) and into = plane k in
     for x = n - 1 downto 0 do
       Metrics.incr m_states;
       Metrics.incr ~by:(n - x) m_transitions;
-      let best = ref infinity and best_j = ref (-1) in
-      for j = x to n - 1 do
-        let rest = T.fget value (vk1 + j + 1) in
-        if rest < infinity then begin
-          let cur = Segment_cost.cost_unsafe kernel ~first:x ~last:j +. rest in
-          if cur < !best then begin
-            best := cur;
-            best_j := j
-          end
-        end
-      done;
-      T.fset value (vk + x) !best;
-      T.iset choice (ck + x) !best_j
+      T.iset choice ((k * n) + x)
+        (Segment_cost.row_min kernel ~next ~row:x ~lo:x ~hi:(n - 1) ~into ~at:x)
     done
   done;
   (value, choice, width)
@@ -536,7 +373,6 @@ let solve_with_budget problem ~checkpoints =
   let rec mark k x =
     if x < n then begin
       let j = T.iget choice ((k * n) + x) in
-      assert (j >= 0);
       placement.(j) <- true;
       mark (k - 1) (j + 1)
     end

@@ -11,11 +11,12 @@
     and conquer, the blocked SMAWK solver, and the parallel sweep. The
     bottom-up solvers evaluate transition costs through the chain's
     precomputed {!Segment_cost} kernel — multiplications only on the
-    hot path — keep their DP tables in flat off-heap {!Dp_tables}
-    structure-of-arrays storage (million-task tables never touch the
-    GC), and run in O(n) space thanks to prefix sums of the task
-    weights. See docs/KERNELS.md for the layout and the determinism
-    contracts. *)
+    hot path, inside {!Segment_cost.row_min} and
+    {!Segment_cost.row_minima}, the loops that own the kernel — keep
+    their DP tables in flat off-heap {!Dp_tables} structure-of-arrays
+    storage (million-task tables never touch the GC), and run in O(n)
+    space thanks to prefix sums of the task weights. See
+    docs/KERNELS.md for the layout and the determinism contracts. *)
 
 type solution = {
   expected_makespan : float;  (** Optimal expectation E(1, n). *)
@@ -68,6 +69,11 @@ val solve_smawk : ?verify:bool -> ?domains:int -> ?block:int -> Chain_problem.t 
     {!Segment_cost.supports_monotone_dc} certificate holds (the test
     suite cross-checks this, including exact ties).
 
+    All combines share one {!Segment_cost.workspace} of O([block])
+    words, allocated once per solve, so the solve allocates O(1) minor
+    words in total, not per state (the test suite and the bench
+    linearity gate hold it under 1 word per task).
+
     [verify] (default [true]) behaves like {!solve_dc}'s: when the
     certificate fails, the solver counts a [dp.smawk_fallbacks] and
     falls back to the exhaustive sweep — {!solve_par} with [domains]
@@ -90,15 +96,6 @@ val dp_values : Chain_problem.t -> float array
 (** [dp_values problem] is the table E of optimal expected times for
     the suffixes: element x is the optimal expectation for executing
     tasks x..n-1 (element n is 0). Exposed for tests and analysis. *)
-
-val solve_bounded : Chain_problem.t -> max_segment:int -> solution
-(** Optimal placement among those whose segments contain at most
-    [max_segment] tasks, in O(n·max_segment) time — the scalable path
-    for very long chains (n in the 10^5 range, where the O(n²) DP is
-    impractical). Equals {!solve} whenever [max_segment] is at least the
-    longest segment of an optimal schedule — in particular whenever
-    [max_segment >= n]. Raises [Invalid_argument] if
-    [max_segment < 1]. *)
 
 val solve_with_budget : Chain_problem.t -> checkpoints:int -> solution
 (** Optimal placement using {e exactly} [checkpoints] checkpoints

@@ -12,27 +12,40 @@ type t = {
 let build ~downtime ~initial_recovery ~lambda tasks =
   if Array.length tasks = 0 then invalid_arg "Chain_problem: empty chain";
   if not (lambda > 0.0) then invalid_arg "Chain_problem: lambda must be positive";
-  if downtime < 0.0 then invalid_arg "Chain_problem: downtime must be non-negative";
-  if initial_recovery < 0.0 then
+  if not (downtime >= 0.0) then invalid_arg "Chain_problem: downtime must be non-negative";
+  if not (initial_recovery >= 0.0) then
     invalid_arg "Chain_problem: initial_recovery must be non-negative";
   let n = Array.length tasks in
   let prefix_work = Array.make (n + 1) 0.0 in
   for i = 0 to n - 1 do
     prefix_work.(i + 1) <- prefix_work.(i) +. tasks.(i).Task.work
   done;
-  (* Task costs are validated by Task.make (non-negative), λ/D/R0 just
-     above — the kernel's no-validation contract holds. *)
+  (* Filled by loops: Array.map/Array.init with a float-returning
+     closure would box every cost on its way into the table. *)
+  let checkpoint_costs = Array.create_float n in
+  let recovery_costs = Array.create_float n in
+  for i = 0 to n - 1 do
+    checkpoint_costs.(i) <- tasks.(i).Task.checkpoint_cost;
+    recovery_costs.(i) <-
+      (if i = 0 then initial_recovery else tasks.(i - 1).Task.recovery_cost)
+  done;
+  (* Task costs are validated by Task.make (non-negative, not NaN),
+     λ/D/R0 just above — the kernel's no-validation contract holds. *)
   let kernel =
-    Segment_cost.create ~lambda ~downtime ~prefix_work
-      ~checkpoint_costs:(Array.map (fun task -> task.Task.checkpoint_cost) tasks)
-      ~recovery_costs:
-        (Array.init n (fun i ->
-             if i = 0 then initial_recovery else tasks.(i - 1).Task.recovery_cost))
+    Segment_cost.create ~lambda ~downtime ~prefix_work ~checkpoint_costs ~recovery_costs
   in
   { tasks; lambda; downtime; initial_recovery; prefix_work; kernel }
 
 let make ?(downtime = 0.0) ?(initial_recovery = 0.0) ~lambda task_list =
-  let tasks = Array.of_list (List.mapi (fun i task -> Task.with_id task i) task_list) in
+  let tasks = Array.of_list task_list in
+  (* Renumber in place. A task that already carries its index comes
+     back from with_id unchanged, and its slot is not rewritten: each
+     store into this (major-heap) array pays the write barrier. *)
+  Array.iteri
+    (fun i task ->
+      let renumbered = Task.with_id task i in
+      if renumbered != task then tasks.(i) <- renumbered)
+    tasks;
   build ~downtime ~initial_recovery ~lambda tasks
 
 let of_dag ?downtime ?initial_recovery ~lambda dag =

@@ -18,10 +18,14 @@ let ints ?(init = 0) n : ints =
   Bigarray.Array1.fill a init;
   a
 
-let fget : floats -> int -> float = Bigarray.Array1.unsafe_get
-let fset : floats -> int -> float -> unit = Bigarray.Array1.unsafe_set
-let iget : ints -> int -> int = Bigarray.Array1.unsafe_get
-let iset : ints -> int -> int -> unit = Bigarray.Array1.unsafe_set
+external fget : floats -> int -> float = "%caml_ba_unsafe_ref_1"
+external fset : floats -> int -> float -> unit = "%caml_ba_unsafe_set_1"
+external iget : ints -> int -> int = "%caml_ba_unsafe_ref_1"
+external iset : ints -> int -> int -> unit = "%caml_ba_unsafe_set_1"
 
 let to_float_array (a : floats) =
-  Array.init (Bigarray.Array1.dim a) (Bigarray.Array1.get a)
+  let copy = Array.create_float (Bigarray.Array1.dim a) in
+  for i = 0 to Array.length copy - 1 do
+    copy.(i) <- fget a i
+  done;
+  copy

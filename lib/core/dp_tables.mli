@@ -9,10 +9,14 @@
     array per field (choice), in C layout — contiguous, unboxed,
     invisible to the GC — and index them directly.
 
-    Accessors here are {e unchecked} ([Bigarray.Array1.unsafe_get]):
-    they exist for DP inner loops whose loop structure already
-    establishes the bounds. Out-of-range indices are undefined
-    behaviour; use them only under that discipline.
+    The accessors are declared here as [external] Bigarray primitives,
+    not as functions: every caller, in any module and under any build
+    profile (including [-opaque], which hides function bodies from
+    other modules), compiles a read to one unboxed load and a write to
+    one store — no call, no boxed float. They are {e unchecked}: they
+    exist for DP inner loops whose loop structure already establishes
+    the bounds. Out-of-range indices are undefined behaviour; use them
+    only under that discipline.
 
     Tables are created per solve and must stay function-local (or be
     annotated under the [unguarded-global-mutable] lint rule, which
@@ -30,18 +34,17 @@ val ints : ?init:int -> int -> ints
 (** [ints n] is a fresh length-[n] int table filled with [init]
     (default [0]). Raises [Invalid_argument] if [n < 0]. *)
 
-val fget : floats -> int -> float
+external fget : floats -> int -> float = "%caml_ba_unsafe_ref_1"
 (** Unchecked read. *)
 
-val fset : floats -> int -> float -> unit
+external fset : floats -> int -> float -> unit = "%caml_ba_unsafe_set_1"
 (** Unchecked write. *)
 
-val iget : ints -> int -> int
+external iget : ints -> int -> int = "%caml_ba_unsafe_ref_1"
 (** Unchecked read. *)
 
-val iset : ints -> int -> int -> unit
+external iset : ints -> int -> int -> unit = "%caml_ba_unsafe_set_1"
 (** Unchecked write. *)
 
 val to_float_array : floats -> float array
-(** Checked copy into a regular [float array] (for APIs that return
-    one). *)
+(** Copy into a regular [float array] (for APIs that return one). *)

@@ -85,8 +85,8 @@ let checkpoint_indices t =
   List.rev !acc
 
 let expected_makespan t =
-  (* Segments come from a placement validated at construction, so the
-     per-segment bounds checks are skipped: straight to the kernel. *)
+  (* Segments come from a placement validated at construction:
+     straight to the kernel. *)
   let kernel = Chain_problem.kernel t.problem in
   let acc = Ckpt_stats.Kahan.create () in
   List.iter

@@ -15,9 +15,20 @@
 
     so a transition cost factors as
     [pre.(first) · (eP.(last+1) · eC.(last) / eP.(first) − 1)] — table
-    lookups and multiplications, with no per-call [exp]/[expm1] and no
-    allocation (the division is precomputed as a table of
-    [e^(−λ·prefix_work)]).
+    lookups and multiplications, with no per-call [exp]/[expm1] (the
+    division is precomputed as a table of [e^(−λ·prefix_work)]).
+
+    {1 Bulk evaluation}
+
+    The expression is defined once, in this module, together with the
+    loops that evaluate it in bulk: {!row_min} (the leftmost scan of one
+    DP row over a decision range) and {!row_minima} (SMAWK row minima of
+    a block of rows). Inside them the cost is inlined and its float
+    stays unboxed, so they allocate nothing per transition whatever the
+    build flags — a build with [-opaque] inlines nothing across
+    modules, so a per-transition call from another module would pay a
+    call and a boxed float each time. Solvers call these loops once per
+    row or per combine.
 
     {1 Accuracy and range guards}
 
@@ -54,35 +65,84 @@ val create :
     the initial recovery). Numeric validation (λ > 0, non-negative
     durations, non-decreasing prefix) is the {e caller's} contract —
     [Chain_problem.build] enforces it — only the array shapes are
-    checked here, once per chain. O(n) time and space. *)
+    checked here, once per chain. O(n) time and space; the tables are
+    filled in place, with no per-element allocation. *)
 
 val size : t -> int
 (** Number of tasks [n]. *)
 
 val cost : t -> first:int -> last:int -> float
 (** The Proposition 1 expected duration of the segment executing tasks
-    [first..last] and checkpointing after [last]. O(1), no allocation,
-    no transcendental call on the table path. Bounds are {e not}
-    validated — this is the DP inner-loop entry point; the validating
-    public API is [Chain_problem.segment_expected]. *)
+    [first..last] and checkpointing after [last]. O(1), no
+    transcendental call on the table path. Raises [Invalid_argument]
+    unless [0 <= first <= last < size t]; the validating public API is
+    [Chain_problem.segment_expected]. *)
 
-val growth : t -> first:int -> last:int -> float
+val growth_unsafe : t -> first:int -> last:int -> float
 (** The failure-growth factor [e^(λ·(W(first,last) + C_last)) − 1]
     alone, without the [pre.(first)] recovery/downtime factor — for
     callers whose recovery cost depends on DP state rather than on
     position (the moldable-chain DP hoists its own
-    [e^(λR)·(1/λ + D)] factor). Same guards as {!cost}. *)
+    [e^(λR)·(1/λ + D)] factor). Same guards as {!cost}, bounds checks
+    elided: the caller must establish [0 <= first <= last < size t];
+    anything else is undefined behaviour. *)
 
-val cost_unsafe : t -> first:int -> last:int -> float
-(** Exactly {!cost} — same float expression, bit-for-bit — with the
-    array bounds checks elided ([Array.unsafe_get]). For DP inner loops
-    whose loop structure already establishes
-    [0 <= first <= last < size t]; passing anything else is undefined
-    behaviour. *)
+val row_min :
+  t ->
+  next:Dp_tables.floats ->
+  row:int ->
+  lo:int ->
+  hi:int ->
+  into:Dp_tables.floats ->
+  at:int ->
+  int
+(** [row_min t ~next ~row ~lo ~hi ~into ~at] scans the decisions
+    [j = lo .. hi] of DP row [row] left to right, evaluating the
+    transition [cost t ~first:row ~last:j +. next.{j + 1}], stores the
+    minimum in [into.{at}] and returns its leftmost argmin: strict [<]
+    from [infinity], so [lo] when no transition is below [infinity].
+    Every scan-based chain solver runs its rows through this loop.
+    Unchecked: the caller must establish
+    [0 <= row <= lo <= hi < size t], [hi + 1 < dim next] and
+    [at < dim into]. [into] may be [next]: the store follows the scan. *)
 
-val growth_unsafe : t -> first:int -> last:int -> float
-(** Exactly {!growth} with bounds checks elided; same contract as
-    {!cost_unsafe}. *)
+type workspace
+(** Scratch for {!row_minima}, allocated once per solve and reused by
+    every call: for up to [rows] rows, a [2·rows] int buffer of
+    surviving columns (all recursion levels, back to back) and
+    [rows]-long minima and argmin tables — O(rows) words, off-heap,
+    independent of the column count and of [n]. *)
+
+val workspace : rows:int -> workspace
+(** A workspace for calls of at most [rows] rows. Raises
+    [Invalid_argument] if [rows < 1]. *)
+
+val row_minima :
+  t -> workspace -> next:Dp_tables.floats -> first:int -> rows:int -> lo:int -> hi:int -> unit
+(** SMAWK row minima of the transition matrix restricted to rows
+    [first .. first + rows - 1] and decisions [lo .. hi] — O(rows +
+    columns) evaluations when the matrix is totally monotone (the
+    {!supports_monotone_dc} certificate). Writes row [first + i]'s
+    minimum to [(minima ws).{i}] and its leftmost argmin to
+    [(argmins ws).{i}], and adds the evaluations made to
+    {!evaluations}. Rows are (first, stride, count) progressions and
+    surviving columns live in the workspace buffer, so the call
+    allocates nothing. Ties: REDUCE pops a stacked column only on a
+    strictly better value and INTERPOLATE keeps the leftmost minimum,
+    so each row's argmin is exactly {!row_min}'s. Raises
+    [Invalid_argument] if [rows] exceeds the workspace; otherwise
+    unchecked like {!row_min} ([lo <= hi] gives a non-empty range;
+    an empty one is a no-op). *)
+
+val minima : workspace -> Dp_tables.floats
+(** Row minima of the last {!row_minima} call, by row position. *)
+
+val argmins : workspace -> Dp_tables.ints
+(** Leftmost argmins of the last {!row_minima} call, by row position. *)
+
+val evaluations : workspace -> int
+(** Transitions evaluated by every {!row_minima} call on this
+    workspace so far. *)
 
 val reference_cost : t -> first:int -> last:int -> float
 (** The reference evaluation — fresh [exp]/[expm1] per call, the exact

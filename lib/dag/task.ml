@@ -11,19 +11,22 @@ type t = {
 let make ~id ?name ~work ?(checkpoint_cost = 0.0) ?(recovery_cost = 0.0) () =
   if id < 0 then invalid_arg "Task.make: id must be non-negative";
   if not (work > 0.0) then invalid_arg "Task.make: work must be positive";
-  if checkpoint_cost < 0.0 then invalid_arg "Task.make: checkpoint_cost must be non-negative";
-  if recovery_cost < 0.0 then invalid_arg "Task.make: recovery_cost must be non-negative";
+  (* Written as not (x >= 0) so that NaN is rejected too. *)
+  if not (checkpoint_cost >= 0.0) then
+    invalid_arg "Task.make: checkpoint_cost must be non-negative";
+  if not (recovery_cost >= 0.0) then
+    invalid_arg "Task.make: recovery_cost must be non-negative";
   let name = match name with Some n -> n | None -> Printf.sprintf "T%d" (id + 1) in
   { id; name; work; checkpoint_cost; recovery_cost }
 
 let with_costs t ~checkpoint_cost ~recovery_cost =
-  if checkpoint_cost < 0.0 || recovery_cost < 0.0 then
+  if not (checkpoint_cost >= 0.0 && recovery_cost >= 0.0) then
     invalid_arg "Task.with_costs: costs must be non-negative";
   { t with checkpoint_cost; recovery_cost }
 
 let with_id t id =
   if id < 0 then invalid_arg "Task.with_id: id must be non-negative";
-  { t with id }
+  if id = t.id then t else { t with id }
 
 let equal a b = a.id = b.id && a.name = b.name && a.work = b.work
   && a.checkpoint_cost = b.checkpoint_cost && a.recovery_cost = b.recovery_cost

@@ -19,13 +19,16 @@ val make :
   unit -> t
 (** [make ~id ~work ()] builds a task. [name] defaults to ["T<id+1>"]
     (paper numbering); costs default to 0. Raises [Invalid_argument] on
-    negative id, non-positive work or negative costs. *)
+    negative id, non-positive work or negative costs; NaN work or costs
+    are rejected the same way. *)
 
 val with_costs : t -> checkpoint_cost:float -> recovery_cost:float -> t
-(** Copy with replaced costs (for cost-model sweeps on one workload). *)
+(** Copy with replaced costs (for cost-model sweeps on one workload).
+    Raises [Invalid_argument] on negative or NaN costs. *)
 
 val with_id : t -> id -> t
-(** Copy with a new id (used when re-indexing sub-workflows). *)
+(** Copy with a new id (used when re-indexing sub-workflows); the task
+    itself when it already has that id. *)
 
 val equal : t -> t -> bool
 val compare : t -> t -> int

@@ -53,6 +53,27 @@ let test_segment_expected_matches_formula () =
   in
   close "segment 0..2" direct (Chain_problem.segment_expected p ~first:0 ~last:2)
 
+let test_make_renumbers () =
+  (* Ids that are not 0..n-1 are rewritten in list order; tasks whose
+     id already matches their position are kept as they are. *)
+  let ids = [ 7; 1; 9; 3 ] in
+  let tasks =
+    List.map (fun id -> Task.make ~id ~work:(1.0 +. float_of_int id) ()) ids
+  in
+  let p = Chain_problem.make ~lambda:0.1 tasks in
+  List.iteri
+    (fun i (original : Task.t) ->
+      let task = p.Chain_problem.tasks.(i) in
+      Alcotest.(check int) (Printf.sprintf "task %d renumbered" i) i task.Task.id;
+      Alcotest.(check string) "name kept" original.Task.name task.Task.name;
+      Alcotest.(check bool) "costs kept" true
+        (Float.equal original.Task.work task.Task.work);
+      Alcotest.(check bool) "matching id keeps the task itself" (original.Task.id = i)
+        (task == original))
+    tasks;
+  close "prefix work follows list order" (8.0 +. 2.0 +. 10.0 +. 4.0)
+    (Chain_problem.total_work p)
+
 let test_with_lambda () =
   let p = sample_problem () in
   let p2 = Chain_problem.with_lambda p 0.1 in
@@ -306,7 +327,18 @@ let test_solve_par_matches_solve () =
         (Printf.sprintf "domains=%d" domains)
         reference
         (Chain_dp.solve_par ~domains p))
-    [ 1; 2; 4; 8 ]
+    [ 1; 2; 4; 8 ];
+  (* Rows at least two 4096-state chunks long go to the team: here the
+     first 105, each split over three chunks. *)
+  let p = random_problem 27_182L 8_296 in
+  let reference = Chain_dp.solve p in
+  List.iter
+    (fun domains ->
+      bit_identical
+        (Printf.sprintf "n=8296, domains=%d" domains)
+        reference
+        (Chain_dp.solve_par ~domains p))
+    [ 2; 3 ]
 
 let qcheck_smawk_agreement =
   (* Cross-solver agreement property: solve_smawk ≡ solve_dc ≡ solve on
@@ -391,48 +423,47 @@ let test_first_segment_end () =
     (List.hd (Schedule.checkpoint_indices solution.Chain_dp.schedule))
     (Chain_dp.first_segment_end p)
 
-let test_bounded_dp () =
-  let p = random_problem 2121L 20 in
-  let full = Chain_dp.solve p in
-  (* max_segment >= n: identical to the unrestricted DP. *)
-  let unbounded = Chain_dp.solve_bounded p ~max_segment:20 in
-  close "L >= n reproduces solve" full.Chain_dp.expected_makespan
-    unbounded.Chain_dp.expected_makespan;
-  Alcotest.(check bool) "same placement" true
-    (Schedule.equal full.Chain_dp.schedule unbounded.Chain_dp.schedule);
-  (* Restricting the segment length can only increase the optimum, and
-     the schedule respects the bound. *)
-  List.iter
-    (fun l ->
-      let bounded = Chain_dp.solve_bounded p ~max_segment:l in
-      Alcotest.(check bool)
-        (Printf.sprintf "L=%d: no better than unrestricted" l)
-        true
-        (bounded.Chain_dp.expected_makespan >= full.Chain_dp.expected_makespan -. 1e-9);
-      List.iter
-        (fun (first, last) ->
-          Alcotest.(check bool) "segment length bounded" true (last - first + 1 <= l))
-        (Schedule.segments bounded.Chain_dp.schedule))
-    [ 1; 2; 3; 5 ];
-  (* L = 1 is checkpoint-all. *)
-  let all_ckpt = Chain_dp.solve_bounded p ~max_segment:1 in
-  close "L = 1 is checkpoint-all"
-    (Schedule.expected_makespan (Schedule.checkpoint_all p))
-    all_ckpt.Chain_dp.expected_makespan
-
-let test_bounded_dp_scales () =
-  (* 100k tasks, L = 32: must run in well under a second. *)
+(* The 100k-task chain of the scale tests: uniform checkpoint and
+   recovery costs, and λ·W = 400, under Segment_cost.overflow_cutoff,
+   so the kernel keeps its tables and the SMAWK certificate holds. (At
+   λ = 0.01, λ·W = 4000: the kernel drops its tables, the certificate
+   fails and SMAWK falls back to the quadratic sweep.) *)
+let scale_problem () =
   let works = List.init 100_000 (fun i -> 1.0 +. float_of_int (i mod 7)) in
-  let p = Chain_problem.uniform ~lambda:0.01 ~checkpoint:0.5 ~recovery:0.5 works in
-  let elapsed, solution =
-    Ckpt_obs.Clock.time (fun () -> Chain_dp.solve_bounded p ~max_segment:32)
-  in
+  let p = Chain_problem.uniform ~lambda:0.001 ~checkpoint:0.5 ~recovery:0.5 works in
+  Alcotest.(check bool) "SMAWK certificate holds" true
+    (Ckpt_core.Segment_cost.supports_monotone_dc (Chain_problem.kernel p));
+  p
+
+let test_smawk_scales () =
+  (* 100k tasks through the front-door solver: must run in well under
+     a second. *)
+  let p = scale_problem () in
+  let elapsed, solution = Ckpt_obs.Clock.time (fun () -> Chain_dp.solve_smawk p) in
   Alcotest.(check bool)
     (Printf.sprintf "solved 100k tasks in %.2fs" elapsed)
     true (elapsed < 5.0);
   Alcotest.(check bool) "finite positive result" true
     (Float.is_finite solution.Chain_dp.expected_makespan
      && solution.Chain_dp.expected_makespan > 0.0)
+
+let test_smawk_allocation_free () =
+  (* The SMAWK solve allocates its tables and one workspace up front
+     and nothing per state: under one minor word per task in total, in
+     the same build the benchmark uses. Its plan equals the
+     divide-and-conquer solver's bit for bit. *)
+  let p = scale_problem () in
+  let n = Chain_problem.size p in
+  ignore (Chain_dp.solve_smawk p);
+  let before = Gc.minor_words () in
+  let solution = Chain_dp.solve_smawk p in
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f minor words for %d tasks (%.4f per task, bound 1)" words n
+       (words /. float_of_int n))
+    true
+    (words < float_of_int n);
+  bit_identical "smawk = dc at 100k tasks" (Chain_dp.solve_dc p) solution
 
 let test_budget_dp () =
   let p = random_problem 99L 10 in
@@ -536,6 +567,7 @@ let suite =
     Alcotest.test_case "segment expectation = Prop 1" `Quick
       test_segment_expected_matches_formula;
     Alcotest.test_case "with_lambda" `Quick test_with_lambda;
+    Alcotest.test_case "make renumbers task ids" `Quick test_make_renumbers;
     Alcotest.test_case "schedule constructors" `Quick test_schedule_constructors;
     Alcotest.test_case "schedule segments" `Quick test_schedule_segments_partition;
     Alcotest.test_case "work-threshold placement" `Quick test_by_work_threshold;
@@ -558,8 +590,9 @@ let suite =
     Alcotest.test_case "DP at extreme failure rates" `Quick test_dp_extreme_rates;
     Alcotest.test_case "DP value table" `Quick test_dp_values_structure;
     Alcotest.test_case "first segment end (numTask)" `Quick test_first_segment_end;
-    Alcotest.test_case "bounded-segment DP" `Quick test_bounded_dp;
-    Alcotest.test_case "bounded DP at scale" `Slow test_bounded_dp_scales;
+    Alcotest.test_case "SMAWK at scale (100k tasks)" `Slow test_smawk_scales;
+    Alcotest.test_case "SMAWK allocation-free at 100k tasks" `Quick
+      test_smawk_allocation_free;
     Alcotest.test_case "budget-constrained DP" `Quick test_budget_dp;
     Alcotest.test_case "budget curve" `Quick test_budget_curve;
     QCheck_alcotest.to_alcotest qcheck_budget_matches_filtered_brute_force;

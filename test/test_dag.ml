@@ -23,6 +23,26 @@ let test_task_validation () =
     && Float.equal t'.Task.recovery_cost 2.0
     && Float.equal t'.Task.work 2.0)
 
+let test_task_rejects_nan () =
+  (* NaN fails every comparison, so a "< 0" test lets it through; the
+     validation must reject it with the same messages as a negative
+     value. *)
+  Alcotest.check_raises "NaN work" (Invalid_argument "Task.make: work must be positive")
+    (fun () -> ignore (Task.make ~id:0 ~work:Float.nan ()));
+  Alcotest.check_raises "NaN checkpoint"
+    (Invalid_argument "Task.make: checkpoint_cost must be non-negative") (fun () ->
+      ignore (Task.make ~id:0 ~work:1.0 ~checkpoint_cost:Float.nan ()));
+  Alcotest.check_raises "NaN recovery"
+    (Invalid_argument "Task.make: recovery_cost must be non-negative") (fun () ->
+      ignore (Task.make ~id:0 ~work:1.0 ~recovery_cost:Float.nan ()));
+  let t = Task.make ~id:0 ~work:1.0 () in
+  List.iter
+    (fun (checkpoint_cost, recovery_cost) ->
+      Alcotest.check_raises "NaN in with_costs"
+        (Invalid_argument "Task.with_costs: costs must be non-negative") (fun () ->
+          ignore (Task.with_costs t ~checkpoint_cost ~recovery_cost)))
+    [ (Float.nan, 1.0); (1.0, Float.nan) ]
+
 let diamond () =
   (* 0 -> {1, 2} -> 3 *)
   Dag.create [ mk 0; mk 1; mk 2; mk 3 ] [ (0, 1); (0, 2); (1, 3); (2, 3) ]
@@ -155,6 +175,7 @@ let qcheck_chain_total_work =
 let suite =
   [
     Alcotest.test_case "task validation" `Quick test_task_validation;
+    Alcotest.test_case "task rejects NaN costs" `Quick test_task_rejects_nan;
     Alcotest.test_case "dag validation" `Quick test_create_validation;
     Alcotest.test_case "structure accessors" `Quick test_structure_accessors;
     Alcotest.test_case "is_chain" `Quick test_is_chain;

@@ -189,7 +189,20 @@ let test_shape_validation () =
     (fun () ->
       ignore
         (Segment_cost.create ~lambda:0.1 ~downtime:0.0 ~prefix_work:[| 0.0; 1.0 |]
-           ~checkpoint_costs:[| 0.5 |] ~recovery_costs:[| 0.5; 0.5 |]))
+           ~checkpoint_costs:[| 0.5 |] ~recovery_costs:[| 0.5; 0.5 |]));
+  (* The checked entry point validates the segment before the
+     unchecked kernel reads any table. *)
+  let kernel =
+    Segment_cost.create ~lambda:0.1 ~downtime:0.0 ~prefix_work:[| 0.0; 1.0; 2.0 |]
+      ~checkpoint_costs:[| 0.5; 0.5 |] ~recovery_costs:[| 0.5; 0.5 |]
+  in
+  List.iter
+    (fun (first, last) ->
+      Alcotest.check_raises
+        (Printf.sprintf "cost bounds checked (%d, %d)" first last)
+        (Invalid_argument "Segment_cost.cost: bad segment bounds")
+        (fun () -> ignore (Segment_cost.cost kernel ~first ~last)))
+    [ (-1, 0); (1, 0); (0, 2) ]
 
 let qcheck_kernel_matches_reference =
   QCheck.Test.make ~name:"kernel = reference on random chains (all pairs)" ~count:120

@@ -72,6 +72,57 @@ let test_chain_errors () =
   (* missing lambda *)
   expect_parse_error (fun () -> ignore (Chain_spec.parse_string "bogus line"))
 
+let expect_parse_message expected f =
+  match f () with
+  | exception Chain_spec.Parse_error msg -> Alcotest.(check string) "parse error" expected msg
+  | _ -> Alcotest.fail ("expected Parse_error: " ^ expected)
+
+let with_spec_file text f =
+  let path = Filename.temp_file "chain_spec" ".chain" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      let oc = open_out path in
+      output_string oc text;
+      close_out oc;
+      f path)
+
+(* The ckpt-chain binary, a dependency of this test: found from the
+   test directory of the build tree. *)
+let ckpt_chain_exe = Filename.concat (Filename.concat Filename.parent_dir_name "bin") "ckpt_chain.exe"
+
+let test_chain_nan_rejected () =
+  (* A NaN cost used to parse, and ckpt-chain then printed a plan that
+     silently skipped the NaN segment. It must be a located parse error:
+     file:line: message on stderr, exit 2. *)
+  let spec = "lambda 0.01\ntask 1 nan 1 a\ntask 1 1 1 b\n" in
+  expect_parse_message "<string>:2: Task.make: checkpoint_cost must be non-negative"
+    (fun () -> ignore (Chain_spec.parse_string spec));
+  expect_parse_message "<string>:2: Task.make: recovery_cost must be non-negative"
+    (fun () -> ignore (Chain_spec.parse_string "lambda 0.01\ntask 1 1 nan\n"));
+  expect_parse_message "<string>: Chain_problem: downtime must be non-negative" (fun () ->
+      ignore (Chain_spec.parse_string "lambda 0.01\ndowntime nan\ntask 1 1 1\n"));
+  expect_parse_message "<string>: Chain_problem: initial_recovery must be non-negative"
+    (fun () ->
+      ignore (Chain_spec.parse_string "lambda 0.01\ninitial_recovery nan\ntask 1 1 1\n"));
+  if not (Sys.file_exists ckpt_chain_exe) then Alcotest.skip ();
+  with_spec_file spec (fun path ->
+      let stderr_path = Filename.temp_file "ckpt_chain" ".err" in
+      Fun.protect
+        ~finally:(fun () -> Sys.remove stderr_path)
+        (fun () ->
+          let code =
+            Sys.command
+              (Printf.sprintf "%s %s > %s 2> %s" (Filename.quote ckpt_chain_exe)
+                 (Filename.quote path) Filename.null (Filename.quote stderr_path))
+          in
+          Alcotest.(check int) "ckpt-chain exits 2" 2 code;
+          let ic = open_in stderr_path in
+          let message = Fun.protect ~finally:(fun () -> close_in ic) (fun () -> input_line ic) in
+          Alcotest.(check string) "file:line: message on stderr"
+            (path ^ ":2: Task.make: checkpoint_cost must be non-negative")
+            message))
+
 let test_chain_lambda_override () =
   let spec = "task 5 0.5 0.5" in
   let problem =
@@ -144,6 +195,7 @@ let suite =
     Alcotest.test_case "chain spec file io" `Quick test_chain_file_io;
     Alcotest.test_case "chain spec errors" `Quick test_chain_errors;
     Alcotest.test_case "chain lambda override" `Quick test_chain_lambda_override;
+    Alcotest.test_case "chain spec rejects NaN costs" `Quick test_chain_nan_rejected;
     Alcotest.test_case "dag spec parse" `Quick test_dag_parse;
     Alcotest.test_case "dag spec round trip" `Quick test_dag_round_trip;
     Alcotest.test_case "dag spec errors" `Quick test_dag_errors;
