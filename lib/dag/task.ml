@@ -16,7 +16,7 @@ let make ~id ?name ~work ?(checkpoint_cost = 0.0) ?(recovery_cost = 0.0) () =
     invalid_arg "Task.make: checkpoint_cost must be non-negative";
   if not (recovery_cost >= 0.0) then
     invalid_arg "Task.make: recovery_cost must be non-negative";
-  let name = match name with Some n -> n | None -> Printf.sprintf "T%d" (id + 1) in
+  let name = match name with Some n -> n | None -> "T" ^ string_of_int (id + 1) in
   { id; name; work; checkpoint_cost; recovery_cost }
 
 let with_costs t ~checkpoint_cost ~recovery_cost =

@@ -10,6 +10,11 @@ exception Parse_error of string
 
 (* --- parsing -------------------------------------------------------- *)
 
+(* Every ckpt-serve frame is decoded here, serially, on the event-loop
+   domain, so the hot loops allocate nothing per byte: the cursor byte is
+   read as a plain char (no option), a string without escapes is one
+   String.sub, and the duplicate-key check scans the keys already read. *)
+
 type state = { src : string; mutable pos : int }
 
 let err st msg =
@@ -25,23 +30,25 @@ let err st msg =
   done;
   raise (Parse_error (Printf.sprintf "line %d, column %d: %s" !line !col msg))
 
-let peek st = if st.pos < String.length st.src then Some st.src.[st.pos] else None
+let at_end st = st.pos >= String.length st.src
+
+(* The byte under the cursor, or '\000' at the end of the input. No
+   caller acts on a NUL byte, so [at_end] is only asked when choosing
+   between two error messages. *)
+let[@inline] cur st =
+  if st.pos < String.length st.src then String.unsafe_get st.src st.pos else '\000'
 
 let advance st = st.pos <- st.pos + 1
 
 let skip_ws st =
-  while
-    st.pos < String.length st.src
-    && match st.src.[st.pos] with ' ' | '\t' | '\n' | '\r' -> true | _ -> false
-  do
+  while match cur st with ' ' | '\t' | '\n' | '\r' -> true | _ -> false do
     advance st
   done
 
 let expect st c =
-  match peek st with
-  | Some d when d = c -> advance st
-  | Some d -> err st (Printf.sprintf "expected %C, got %C" c d)
-  | None -> err st (Printf.sprintf "expected %C, got end of input" c)
+  if cur st = c then advance st
+  else if at_end st then err st (Printf.sprintf "expected %C, got end of input" c)
+  else err st (Printf.sprintf "expected %C, got %C" c (cur st))
 
 let literal st word value =
   let n = String.length word in
@@ -79,135 +86,170 @@ let parse_unicode_escape st buf =
     Buffer.add_char buf (Char.chr (0x80 lor (cp land 0x3F)))
   end
 
+(* The rest of a string once an escape has been met; [buf] holds the
+   decoded prefix and the cursor is on the backslash. *)
+let rec parse_escaped st buf =
+  match cur st with
+  | '"' ->
+      advance st;
+      Buffer.contents buf
+  | '\\' ->
+      advance st;
+      if at_end st then err st "unterminated escape";
+      let c = cur st in
+      advance st;
+      (match c with
+      | '"' -> Buffer.add_char buf '"'
+      | '\\' -> Buffer.add_char buf '\\'
+      | '/' -> Buffer.add_char buf '/'
+      | 'b' -> Buffer.add_char buf '\b'
+      | 'f' -> Buffer.add_char buf '\012'
+      | 'n' -> Buffer.add_char buf '\n'
+      | 'r' -> Buffer.add_char buf '\r'
+      | 't' -> Buffer.add_char buf '\t'
+      | 'u' -> parse_unicode_escape st buf
+      | c -> err st (Printf.sprintf "bad escape \\%c" c));
+      parse_escaped st buf
+  | _ when at_end st -> err st "unterminated string"
+  | c when Char.code c < 0x20 -> err st "raw control character in string"
+  | c ->
+      advance st;
+      Buffer.add_char buf c;
+      parse_escaped st buf
+
 let parse_string_body st =
   expect st '"';
-  let buf = Buffer.create 16 in
-  let rec go () =
-    match peek st with
-    | None -> err st "unterminated string"
-    | Some '"' -> advance st
-    | Some '\\' -> (
-        advance st;
-        (match peek st with
-        | None -> err st "unterminated escape"
-        | Some c -> (
-            advance st;
-            match c with
-            | '"' -> Buffer.add_char buf '"'
-            | '\\' -> Buffer.add_char buf '\\'
-            | '/' -> Buffer.add_char buf '/'
-            | 'b' -> Buffer.add_char buf '\b'
-            | 'f' -> Buffer.add_char buf '\012'
-            | 'n' -> Buffer.add_char buf '\n'
-            | 'r' -> Buffer.add_char buf '\r'
-            | 't' -> Buffer.add_char buf '\t'
-            | 'u' -> parse_unicode_escape st buf
-            | c -> err st (Printf.sprintf "bad escape \\%c" c)));
-        go ())
-    | Some c when Char.code c < 0x20 -> err st "raw control character in string"
-    | Some c ->
-        advance st;
-        Buffer.add_char buf c;
-        go ()
-  in
-  go ();
-  Buffer.contents buf
+  let start = st.pos in
+  while
+    match cur st with '"' | '\\' -> false | c -> Char.code c >= 0x20
+  do
+    advance st
+  done;
+  match cur st with
+  | '"' ->
+      let s = String.sub st.src start (st.pos - start) in
+      advance st;
+      s
+  | '\\' ->
+      let buf = Buffer.create (st.pos - start + 16) in
+      Buffer.add_substring buf st.src start (st.pos - start);
+      parse_escaped st buf
+  | _ when at_end st -> err st "unterminated string"
+  | _ -> err st "raw control character in string"
+
+let consume_digits st =
+  let start = st.pos in
+  while match cur st with '0' .. '9' -> true | _ -> false do
+    advance st
+  done;
+  st.pos > start
 
 let parse_number st =
   let start = st.pos in
-  let consume_digits () =
-    let some = ref false in
-    while (match peek st with Some ('0' .. '9') -> true | _ -> false) do
-      advance st;
-      some := true
-    done;
-    !some
-  in
-  if peek st = Some '-' then advance st;
-  if not (consume_digits ()) then err st "malformed number";
-  if peek st = Some '.' then begin
+  if cur st = '-' then advance st;
+  if not (consume_digits st) then err st "malformed number";
+  if cur st = '.' then begin
     advance st;
-    if not (consume_digits ()) then err st "malformed number (digits after '.')"
+    if not (consume_digits st) then err st "malformed number (digits after '.')"
   end;
-  (match peek st with
-  | Some ('e' | 'E') ->
+  (match cur st with
+  | 'e' | 'E' ->
       advance st;
-      (match peek st with Some ('+' | '-') -> advance st | _ -> ());
-      if not (consume_digits ()) then err st "malformed number (exponent digits)"
+      (match cur st with '+' | '-' -> advance st | _ -> ());
+      if not (consume_digits st) then err st "malformed number (exponent digits)"
   | _ -> ());
   let text = String.sub st.src start (st.pos - start) in
-  match float_of_string_opt text with
-  | Some x when Float.is_finite x -> Number x
-  | _ -> err st (Printf.sprintf "malformed number %S" text)
+  match float_of_string text with
+  | x when Float.is_finite x -> Number x
+  | _ | (exception Failure _) -> err st (Printf.sprintf "malformed number %S" text)
+
+(* Duplicate keys: a scan of the keys already read is cheaper than a
+   table for the small objects that dominate, and past [scan_limit] keys
+   a table keeps a huge object linear. *)
+let scan_limit = 8
+
+let rec has_key key = function
+  | [] -> false
+  | (k, _) :: rest -> String.equal k key || has_key key rest
+
+(* Rejects [key] if [fields] (of which there are [count]) already has it;
+   returns the table to use from now on, built once [count] reaches
+   [scan_limit]. *)
+let check_new_key st key fields count seen =
+  let duplicate =
+    match seen with Some table -> Hashtbl.mem table key | None -> has_key key fields
+  in
+  if duplicate then err st (Printf.sprintf "duplicate object key %S" key);
+  match seen with
+  | Some table ->
+      Hashtbl.add table key ();
+      seen
+  | None when count < scan_limit -> None
+  | None ->
+      let table =
+        Hashtbl.create 64
+          [@@lint.domain_safe "parse-local duplicate-key check; never escapes parse_value"]
+      in
+      List.iter (fun (k, _) -> Hashtbl.add table k ()) fields;
+      Hashtbl.add table key ();
+      Some table
 
 let rec parse_value st =
   skip_ws st;
-  match peek st with
-  | None -> err st "unexpected end of input"
-  | Some '{' ->
+  match cur st with
+  | '{' ->
       advance st;
       skip_ws st;
-      if peek st = Some '}' then begin
+      if cur st = '}' then begin
         advance st;
         Obj []
       end
-      else begin
-        let fields = ref [] in
-        let seen =
-          Hashtbl.create 8
-            [@@lint.domain_safe
-              "parse-local duplicate-key check; never escapes parse_value"]
-        in
-        let rec members () =
-          skip_ws st;
-          let key = parse_string_body st in
-          if Hashtbl.mem seen key then
-            err st (Printf.sprintf "duplicate object key %S" key);
-          Hashtbl.add seen key ();
-          skip_ws st;
-          expect st ':';
-          let v = parse_value st in
-          fields := (key, v) :: !fields;
-          skip_ws st;
-          match peek st with
-          | Some ',' ->
-              advance st;
-              members ()
-          | Some '}' -> advance st
-          | _ -> err st "expected ',' or '}' in object"
-        in
-        members ();
-        Obj (List.rev !fields)
-      end
-  | Some '[' ->
+      else Obj (parse_members st [] 0 None)
+  | '[' ->
       advance st;
       skip_ws st;
-      if peek st = Some ']' then begin
+      if cur st = ']' then begin
         advance st;
         List []
       end
-      else begin
-        let items = ref [] in
-        let rec elements () =
-          let v = parse_value st in
-          items := v :: !items;
-          skip_ws st;
-          match peek st with
-          | Some ',' ->
-              advance st;
-              elements ()
-          | Some ']' -> advance st
-          | _ -> err st "expected ',' or ']' in array"
-        in
-        elements ();
-        List (List.rev !items)
-      end
-  | Some '"' -> String (parse_string_body st)
-  | Some 't' -> literal st "true" (Bool true)
-  | Some 'f' -> literal st "false" (Bool false)
-  | Some 'n' -> literal st "null" Null
-  | Some ('-' | '0' .. '9') -> parse_number st
-  | Some c -> err st (Printf.sprintf "unexpected character %C" c)
+      else List (parse_elements st [])
+  | '"' -> String (parse_string_body st)
+  | 't' -> literal st "true" (Bool true)
+  | 'f' -> literal st "false" (Bool false)
+  | 'n' -> literal st "null" Null
+  | '-' | '0' .. '9' -> parse_number st
+  | _ when at_end st -> err st "unexpected end of input"
+  | c -> err st (Printf.sprintf "unexpected character %C" c)
+
+and parse_members st fields count seen =
+  skip_ws st;
+  let key = parse_string_body st in
+  let seen = check_new_key st key fields count seen in
+  skip_ws st;
+  expect st ':';
+  let v = parse_value st in
+  let fields = (key, v) :: fields in
+  skip_ws st;
+  match cur st with
+  | ',' ->
+      advance st;
+      parse_members st fields (count + 1) seen
+  | '}' ->
+      advance st;
+      List.rev fields
+  | _ -> err st "expected ',' or '}' in object"
+
+and parse_elements st items =
+  let items = parse_value st :: items in
+  skip_ws st;
+  match cur st with
+  | ',' ->
+      advance st;
+      parse_elements st items
+  | ']' ->
+      advance st;
+      List.rev items
+  | _ -> err st "expected ',' or ']' in array"
 
 let parse s =
   let st = { src = s; pos = 0 } in

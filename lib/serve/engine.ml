@@ -82,7 +82,8 @@ let chain_problem params =
 
 let plan_chain t ~id params =
   let problem = chain_problem params in
-  let cached = Plan_cache.find t.plan_cache problem in
+  let key = Plan_cache.key problem in
+  let cached = Plan_cache.find t.plan_cache key in
   let checkpoints_after, expected_makespan, cache_tag =
     match cached with
     | Some hit ->
@@ -94,7 +95,7 @@ let plan_chain t ~id params =
            way (the CI smoke checks served plans against the offline
            oracle), so cache keys and cached answers are unchanged. *)
         let solution = Chain_dp.solve_smawk problem in
-        Plan_cache.store t.plan_cache problem solution;
+        Plan_cache.store t.plan_cache key solution;
         ( Schedule.checkpoint_indices solution.Chain_dp.schedule,
           solution.Chain_dp.expected_makespan,
           "miss" )

@@ -30,10 +30,20 @@ let listen ~host ~port =
   in
   (sock, actual_port)
 
+(* Every connection carries small request/response frames that must
+   leave at once. With Nagle's algorithm on, a frame written while an
+   earlier one is still unacknowledged waits for the peer's ACK: on a
+   pipelined connection that is the peer's next frame or its delayed-ACK
+   timer (40 ms or more). Best-effort: a socket that refuses the option
+   still works, only slower. *)
+let no_delay sock =
+  try Unix.setsockopt sock Unix.TCP_NODELAY true with Unix.Unix_error (_, _, _) -> ()
+
 let accept listener =
   match Unix.accept ~cloexec:true listener with
   | sock, _addr ->
       Unix.set_nonblock sock;
+      no_delay sock;
       Some sock
   | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _)
     ->
@@ -46,6 +56,7 @@ let connect ~host ~port =
    with exn ->
      Unix.close sock;
      raise exn);
+  no_delay sock;
   sock
 
 let chunk_size = 65536

@@ -7,7 +7,9 @@
     looks like EOF, a connection that resets mid-write looks like a
     failed write. The server treats both as "peer gone". *)
 
-type fd
+type fd = private Unix.file_descr
+(** Private: a caller may coerce an [fd] to read its socket options
+    (the tests check [TCP_NODELAY]), but only this module makes one. *)
 
 val ignore_sigpipe : unit -> unit
 (** Writes to a closed peer must surface as [EPIPE] (a failed
@@ -18,9 +20,13 @@ val listen : host:string -> port:int -> fd * int
     [SO_REUSEADDR]; returns the listener and the actual port. *)
 
 val accept : fd -> fd option
-(** Non-blocking accept; [None] when no connection is pending. *)
+(** Non-blocking accept; [None] when no connection is pending. The
+    accepted socket has [TCP_NODELAY] set (best-effort), so each
+    response frame is sent as soon as it is written. *)
 
 val connect : host:string -> port:int -> fd
+(** Blocking connect, with [TCP_NODELAY] set (best-effort), so each
+    request frame is sent as soon as it is written. *)
 
 val read_chunk : fd -> string option
 (** Up to 64 KiB; [None] means EOF or connection reset, [Some ""] that

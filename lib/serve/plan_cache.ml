@@ -10,24 +10,32 @@ let cache_evictions = Metrics.counter "serve.cache_evictions"
 (* Canonical form: every time quantity divided by the total work W (and
    λ multiplied by it). Power-of-two rescalings of a problem produce
    bit-identical canonical floats — x·2^k / (W·2^k) rounds exactly like
-   x/W — so %.17g (exact round-trip) keys them identically without any
-   tolerance machinery. *)
-let canonical_key problem =
+   x/W — so hashing the IEEE-754 bits keys them identically without any
+   tolerance machinery. The bits are injective on non-NaN floats (and
+   Task.make / Chain_problem.make reject NaN), so two problems share a
+   digest exactly when their canonical forms are equal. *)
+type key = { digest : Digest.t; total_work : float }
+
+let key problem =
+  let tasks = problem.Chain_problem.tasks in
+  let n = Array.length tasks in
   let w_total = Chain_problem.total_work problem in
-  let buf = Buffer.create 256 in
-  let add x = Buffer.add_string buf (Printf.sprintf "%.17g;" x) in
-  Buffer.add_string buf (string_of_int (Chain_problem.size problem));
-  Buffer.add_char buf ';';
-  add (problem.Chain_problem.lambda *. w_total);
-  add (problem.Chain_problem.downtime /. w_total);
-  add (problem.Chain_problem.initial_recovery /. w_total);
-  Array.iter
-    (fun (task : Ckpt_dag.Task.t) ->
-      add (task.Ckpt_dag.Task.work /. w_total);
-      add (task.Ckpt_dag.Task.checkpoint_cost /. w_total);
-      add (task.Ckpt_dag.Task.recovery_cost /. w_total))
-    problem.Chain_problem.tasks;
-  Digest.to_hex (Digest.string (Buffer.contents buf))
+  let buf = Bytes.create (8 * ((3 * n) + 4)) in
+  let[@inline] put slot x = Bytes.set_int64_le buf (8 * slot) (Int64.bits_of_float x) in
+  Bytes.set_int64_le buf 0 (Int64.of_int n);
+  put 1 (problem.Chain_problem.lambda *. w_total);
+  put 2 (problem.Chain_problem.downtime /. w_total);
+  put 3 (problem.Chain_problem.initial_recovery /. w_total);
+  for i = 0 to n - 1 do
+    let task = tasks.(i) in
+    let slot = 4 + (3 * i) in
+    put slot (task.Ckpt_dag.Task.work /. w_total);
+    put (slot + 1) (task.Ckpt_dag.Task.checkpoint_cost /. w_total);
+    put (slot + 2) (task.Ckpt_dag.Task.recovery_cost /. w_total)
+  done;
+  { digest = Digest.bytes buf; total_work = w_total }
+
+let canonical_key problem = Digest.to_hex (key problem).digest
 
 type entry = {
   checkpoints_after : int list;
@@ -39,7 +47,7 @@ type entry = {
 
 type t = {
   lock : Mutex.t;
-  table : (string, entry) Hashtbl.t;
+  table : (Digest.t, entry) Hashtbl.t;
   cap : int;
   mutable tick : int;
 }
@@ -54,10 +62,9 @@ let create ~capacity =
 
 type hit = { checkpoints_after : int list; expected_makespan : float; exact : bool }
 
-let find t problem =
-  let key = canonical_key problem in
+let find t key =
   Mutex.protect t.lock (fun () ->
-      match Hashtbl.find_opt t.table key with
+      match Hashtbl.find_opt t.table key.digest with
       | None ->
           Metrics.incr cache_misses;
           None
@@ -65,11 +72,10 @@ let find t problem =
           Metrics.incr cache_hits;
           t.tick <- t.tick + 1;
           entry.last_used <- t.tick;
-          let w_total = Chain_problem.total_work problem in
-          let exact = Float.equal w_total entry.stored_total_work in
+          let exact = Float.equal key.total_work entry.stored_total_work in
           let expected_makespan =
             if exact then entry.stored_makespan
-            else entry.canonical_makespan *. w_total
+            else entry.canonical_makespan *. key.total_work
           in
           Some { checkpoints_after = entry.checkpoints_after; expected_makespan; exact })
 
@@ -88,18 +94,16 @@ let evict_lru t =
       Metrics.incr cache_evictions
   | None -> ()
 
-let store t problem (solution : Chain_dp.solution) =
-  let key = canonical_key problem in
-  let w_total = Chain_problem.total_work problem in
+let store t key (solution : Chain_dp.solution) =
   Mutex.protect t.lock (fun () ->
       t.tick <- t.tick + 1;
-      if not (Hashtbl.mem t.table key) && Hashtbl.length t.table >= t.cap then
+      if not (Hashtbl.mem t.table key.digest) && Hashtbl.length t.table >= t.cap then
         evict_lru t;
-      Hashtbl.replace t.table key
+      Hashtbl.replace t.table key.digest
         {
           checkpoints_after = Schedule.checkpoint_indices solution.Chain_dp.schedule;
-          canonical_makespan = solution.Chain_dp.expected_makespan /. w_total;
-          stored_total_work = w_total;
+          canonical_makespan = solution.Chain_dp.expected_makespan /. key.total_work;
+          stored_total_work = key.total_work;
           stored_makespan = solution.Chain_dp.expected_makespan;
           last_used = t.tick;
         })

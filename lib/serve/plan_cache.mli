@@ -14,9 +14,13 @@
     expectation bit-for-bit (the repeated-request fast path the CI smoke
     asserts against the offline solver); a hit at a different scale
     returns the rescaled expectation, exact for power-of-two factors and
-    within float rounding otherwise. Keys are formatted at [%.17g], so
-    binary-exponent rescalings — which float arithmetic maps to
-    identical canonical values — hash identically by construction.
+    within float rounding otherwise. A key hashes the IEEE-754 bits of
+    the canonical floats (n, λ·W, D/W, R₀/W, then w/W, C/W, R/W per
+    task), so binary-exponent rescalings — which float arithmetic maps
+    to identical canonical values — hash identically by construction,
+    and any other difference in a canonical float changes the key.
+    A request computes its key once, with {!key}, and hands it to both
+    {!find} and, on a miss, {!store}.
 
     Eviction is least-recently-used at a fixed capacity. All operations
     are mutex-guarded; hits/misses/evictions land on the
@@ -28,9 +32,17 @@ type t
 val create : capacity:int -> t
 (** Raises [Invalid_argument] if [capacity < 1]. *)
 
+type key
+(** A problem's canonical digest together with its total work W, the
+    scale at which a hit is answered. *)
+
+val key : Ckpt_core.Chain_problem.t -> key
+(** One pass over the tasks: 8 bytes per canonical float, then one
+    digest. *)
+
 val canonical_key : Ckpt_core.Chain_problem.t -> string
-(** Hex digest of the canonical form — exposed for the rescaling
-    property tests. *)
+(** Hex form of {!key}'s digest — exposed for the rescaling property
+    tests and the benchmark. *)
 
 type hit = {
   checkpoints_after : int list;  (** 0-based optimal placement. *)
@@ -38,10 +50,10 @@ type hit = {
   exact : bool;  (** Same total work as the stored entry (bit-for-bit). *)
 }
 
-val find : t -> Ckpt_core.Chain_problem.t -> hit option
+val find : t -> key -> hit option
 (** Counts a cache hit or miss. *)
 
-val store : t -> Ckpt_core.Chain_problem.t -> Ckpt_core.Chain_dp.solution -> unit
+val store : t -> key -> Ckpt_core.Chain_dp.solution -> unit
 (** Insert (or refresh) the solved plan, evicting the least recently
     used entry at capacity. *)
 

@@ -43,20 +43,92 @@ let test_json_rejects () =
     | Error _ -> ()
     | Ok _ -> Alcotest.fail (label ^ ": expected a parse error")
   in
+  let obj keys = "{" ^ String.concat "," (List.map (Printf.sprintf "\"%s\":0") keys) ^ "}" in
+  let keys n = List.init n (Printf.sprintf "k%d") in
   rejects "trailing garbage" "{} x";
-  rejects "duplicate key" "{\"a\":1,\"a\":2}";
+  rejects "duplicate key at position 2" "{\"a\":1,\"a\":2}";
+  (* past the keys a scan checks, and deep into the table that follows *)
+  rejects "duplicate key at position 12" (obj (keys 11 @ [ "k3" ]));
+  rejects "duplicate key at position 5001" (obj (keys 5000 @ [ "k4321" ]));
   rejects "unterminated string" "\"abc";
+  rejects "unterminated string after an escape" "[\"ab\\ncd";
   rejects "bare word" "bench";
   rejects "bad escape" "\"\\q\"";
   rejects "surrogate escape" "\"\\ud834\"";
   rejects "leading zero junk" "01x";
   rejects "non-finite" "1e999";
-  rejects "raw control char" "\"a\x01b\""
+  rejects "raw control char" "\"a\x01b\"";
+  List.iter (fun n -> rejects ("number " ^ n) n) [ "-"; "1."; "1e"; "1e+" ];
+  Alcotest.(check (result unit string))
+    "message with its position"
+    (Error "line 1, column 11: duplicate object key \"a\"")
+    (Result.map ignore (Json.parse_result "{\"a\":1,\"a\":2}"))
 
 let test_json_escape_parsing () =
-  match Json.parse "\"\\u00e9\\n\\t\"" with
-  | Json.String s -> Alcotest.(check string) "escapes decode" "\xc3\xa9\n\t" s
-  | _ -> Alcotest.fail "expected a string"
+  List.iter
+    (fun (text, decoded) ->
+      match Json.parse text with
+      | Json.String s -> Alcotest.(check string) text decoded s
+      | _ -> Alcotest.fail "expected a string")
+    [ ("\"\\u00e9\\n\\t\"", "\xc3\xa9\n\t"); ("\"ab\\ncd\"", "ab\ncd") ]
+
+(* Random trees: strings mix plain bytes with every escaped class
+   (quote, backslash, \n \t \r, other control bytes) and non-ASCII
+   bytes; objects carry up to 20 distinct keys, past the size at which
+   the duplicate-key check switches from a scan to a table. *)
+let json_gen =
+  let open QCheck.Gen in
+  let char_gen =
+    frequency
+      [
+        (4, char_range 'a' 'z');
+        (2, oneofl [ '"'; '\\'; '\n'; '\t'; '\r'; '\001'; '\x1f'; '/'; ' ' ]);
+        (1, char_range '\x80' '\xff');
+      ]
+  in
+  let str = string_size ~gen:char_gen (int_range 0 10) in
+  let number =
+    oneof
+      [
+        map float_of_int (int_range (-1000) 1000);
+        float_range (-1e6) 1e6;
+        map (fun x -> if Float.is_finite x then x else 0.0) float;
+      ]
+  in
+  let distinct fields =
+    List.rev
+      (List.fold_left
+         (fun acc (k, v) -> if List.mem_assoc k acc then acc else (k, v) :: acc)
+         [] fields)
+  in
+  let leaf =
+    oneof
+      [
+        return Json.Null;
+        map (fun b -> Json.Bool b) bool;
+        map (fun x -> Json.Number x) number;
+        map (fun s -> Json.String s) str;
+      ]
+  in
+  fix
+    (fun self depth ->
+      if depth = 0 then leaf
+      else
+        frequency
+          [
+            (2, leaf);
+            (1, map (fun l -> Json.List l) (list_size (int_range 0 5) (self (depth - 1))));
+            ( 1,
+              map
+                (fun fields -> Json.Obj (distinct fields))
+                (list_size (int_range 0 20) (pair str (self (depth - 1)))) );
+          ])
+    3
+
+let qcheck_json_round_trip =
+  QCheck.Test.make ~name:"json: parse (to_string v) = v" ~count:300
+    (QCheck.make ~print:Json.to_string json_gen)
+    (fun v -> Json.equal v (Json.parse (Json.to_string v)))
 
 (* --- schema --------------------------------------------------------- *)
 
@@ -381,6 +453,7 @@ let suite =
     Alcotest.test_case "json: number precision" `Quick test_json_number_precision;
     Alcotest.test_case "json: rejects malformed input" `Quick test_json_rejects;
     Alcotest.test_case "json: escape decoding" `Quick test_json_escape_parsing;
+    QCheck_alcotest.to_alcotest qcheck_json_round_trip;
     Alcotest.test_case "schema: round-trip" `Quick test_schema_round_trip;
     Alcotest.test_case "schema: rejects bad files" `Quick test_schema_rejects;
     Alcotest.test_case "schema: typed required-keys check" `Quick test_required_keys_typed;

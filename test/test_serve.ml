@@ -141,8 +141,8 @@ let instance_gen = QCheck.(triple (int_range 2 12) (int_range 0 100_000) (int_ra
 
 let qcheck_rescaled_key_identical =
   (* Power-of-two rescalings are exact in IEEE arithmetic, so the
-     canonical %.17g key must match byte for byte — the cache treats the
-     two instances as the same problem. *)
+     canonical floats, and the digest of their bits, must match: the
+     cache treats the two instances as the same problem. *)
   QCheck.Test.make ~name:"2^k-rescaled problems hash identically" ~count:200
     instance_gen
     (fun (n, seed, k) ->
@@ -152,6 +152,78 @@ let qcheck_rescaled_key_identical =
       in
       let scaled = scale_problem (Float.ldexp 1.0 k) problem in
       String.equal (Plan_cache.canonical_key problem) (Plan_cache.canonical_key scaled))
+
+(* The key before it hashed float bits: the canonical floats printed at
+   %.17g, which round-trips exactly. The bit-hashed key must induce the
+   same equivalence: two problems share a key exactly when they share
+   this one. *)
+let reference_key (problem : Chain_problem.t) =
+  let w_total = Chain_problem.total_work problem in
+  let buf = Buffer.create 256 in
+  let add x = Buffer.add_string buf (Printf.sprintf "%.17g;" x) in
+  Buffer.add_string buf (string_of_int (Chain_problem.size problem));
+  Buffer.add_char buf ';';
+  add (problem.Chain_problem.lambda *. w_total);
+  add (problem.Chain_problem.downtime /. w_total);
+  add (problem.Chain_problem.initial_recovery /. w_total);
+  Array.iter
+    (fun (task : Task.t) ->
+      add (task.Task.work /. w_total);
+      add (task.Task.checkpoint_cost /. w_total);
+      add (task.Task.recovery_cost /. w_total))
+    problem.Chain_problem.tasks;
+  Buffer.contents buf
+
+let keys_agree a b =
+  Bool.equal
+    (String.equal (Plan_cache.canonical_key a) (Plan_cache.canonical_key b))
+    (String.equal (reference_key a) (reference_key b))
+
+(* A random chain from a space small enough (96 problems) that two
+   independent draws coincide now and then. *)
+let problem_gen =
+  QCheck.Gen.(
+    map
+      (fun ((n, seed), (lambda, downtime, initial_recovery)) ->
+        Chain_problem.make ~downtime ~initial_recovery ~lambda (random_chain seed n))
+      (pair
+         (pair (int_range 1 4) (int_range 0 2))
+         (triple (oneofl [ 0.01; 0.05 ]) (oneofl [ 0.0; 0.3 ]) (oneofl [ 0.0; 0.5 ]))))
+
+let arb_problem = QCheck.make ~print:(Format.asprintf "%a" Chain_problem.pp) problem_gen
+
+(* [problem] with one field moved up by one ulp: 0-2 are λ, D and R0,
+   then w, C and R of each task in turn. *)
+let bump_field (problem : Chain_problem.t) field =
+  let lambda = problem.Chain_problem.lambda
+  and downtime = problem.Chain_problem.downtime
+  and initial_recovery = problem.Chain_problem.initial_recovery in
+  let bump i x = if i = field then Float.succ x else x in
+  let tasks =
+    Array.to_list problem.Chain_problem.tasks
+    |> List.mapi (fun i (t : Task.t) ->
+           let slot = 3 + (3 * i) in
+           Task.make ~id:i ~work:(bump slot t.Task.work)
+             ~checkpoint_cost:(bump (slot + 1) t.Task.checkpoint_cost)
+             ~recovery_cost:(bump (slot + 2) t.Task.recovery_cost)
+             ())
+  in
+  Chain_problem.make ~lambda:(bump 0 lambda) ~downtime:(bump 1 downtime)
+    ~initial_recovery:(bump 2 initial_recovery) tasks
+
+let qcheck_key_matches_reference =
+  QCheck.Test.make ~name:"bit-hashed key induces the %.17g key's equivalence"
+    ~count:300
+    QCheck.(triple arb_problem arb_problem (pair (int_range (-6) 6) small_nat))
+    (fun (a, b, (k, field)) ->
+      let field = field mod (3 + (3 * Chain_problem.size a)) in
+      (* a 2^k rescaling: the same key under both *)
+      keys_agree a (scale_problem (Float.ldexp 1.0 k) a)
+      (* a one-ulp bump of one field: a new key, or the same one when
+         the bump vanishes in the division by W *)
+      && keys_agree a (bump_field a field)
+      (* independent chains, equal whenever both draws coincide *)
+      && keys_agree a b)
 
 let qcheck_rescaled_hit_equivalent =
   (* Solving the base instance and then asking for a rescaling must hit,
@@ -167,8 +239,8 @@ let qcheck_rescaled_hit_equivalent =
       let scaled = scale_problem s problem in
       let cache = Plan_cache.create ~capacity:8 in
       let solution = Chain_dp.solve problem in
-      Plan_cache.store cache problem solution;
-      match Plan_cache.find cache scaled with
+      Plan_cache.store cache (Plan_cache.key problem) solution;
+      match Plan_cache.find cache (Plan_cache.key scaled) with
       | None -> false
       | Some hit ->
           hit.Plan_cache.checkpoints_after
@@ -183,15 +255,15 @@ let test_cache_lru_eviction () =
   let problem_of seed = Chain_problem.make ~lambda:0.05 (random_chain seed 6) in
   let a = problem_of 1 and b = problem_of 2 and c = problem_of 3 in
   let cache = Plan_cache.create ~capacity:2 in
-  Plan_cache.store cache a (Chain_dp.solve a);
-  Plan_cache.store cache b (Chain_dp.solve b);
+  Plan_cache.store cache (Plan_cache.key a) (Chain_dp.solve a);
+  Plan_cache.store cache (Plan_cache.key b) (Chain_dp.solve b);
   (* Touch [a] so [b] is the least recently used entry. *)
-  Alcotest.(check bool) "a hits" true (Plan_cache.find cache a <> None);
-  Plan_cache.store cache c (Chain_dp.solve c);
+  Alcotest.(check bool) "a hits" true (Plan_cache.find cache (Plan_cache.key a) <> None);
+  Plan_cache.store cache (Plan_cache.key c) (Chain_dp.solve c);
   Alcotest.(check int) "capacity respected" 2 (Plan_cache.length cache);
-  Alcotest.(check bool) "b evicted" true (Plan_cache.find cache b = None);
-  Alcotest.(check bool) "a survives" true (Plan_cache.find cache a <> None);
-  Alcotest.(check bool) "c present" true (Plan_cache.find cache c <> None)
+  Alcotest.(check bool) "b evicted" true (Plan_cache.find cache (Plan_cache.key b) = None);
+  Alcotest.(check bool) "a survives" true (Plan_cache.find cache (Plan_cache.key a) <> None);
+  Alcotest.(check bool) "c present" true (Plan_cache.find cache (Plan_cache.key c) <> None)
 
 (* --- bounded queue --------------------------------------------------- *)
 
@@ -367,6 +439,29 @@ let test_engine_other_methods () =
   | _ -> Alcotest.fail "moldable: no segments"
 
 (* --- server over a real socket --------------------------------------- *)
+
+let test_net_nodelay () =
+  (* Without TCP_NODELAY a response written while an earlier one is
+     unacknowledged waits for the peer's next request or its delayed-ACK
+     timer: a stall of one inter-arrival time or 40 ms on every
+     pipelined connection. *)
+  let listener, port = Net.listen ~host:"127.0.0.1" ~port:0 in
+  let client = Net.connect ~host:"127.0.0.1" ~port in
+  let rec accept tries =
+    match Net.accept listener with
+    | Some fd -> fd
+    | None when tries > 0 ->
+        ignore (Net.select_read [ listener ] ~timeout_s:0.1);
+        accept (tries - 1)
+    | None -> Alcotest.fail "no pending connection"
+  in
+  let accepted = accept 50 in
+  Fun.protect
+    ~finally:(fun () -> List.iter Net.close [ accepted; client; listener ])
+    (fun () ->
+      let nodelay fd = Unix.getsockopt (fd : Net.fd :> Unix.file_descr) Unix.TCP_NODELAY in
+      Alcotest.(check bool) "accepted socket" true (nodelay accepted);
+      Alcotest.(check bool) "connected socket" true (nodelay client))
 
 (* Raw pipelined client: lets the tests send several frames before
    reading any response (Client.rpc couples send and receive). *)
@@ -584,6 +679,7 @@ let suite =
     Alcotest.test_case "protocol: request validation" `Quick test_request_validation;
     Alcotest.test_case "protocol: queue_full payload" `Quick test_queue_full_payload;
     QCheck_alcotest.to_alcotest qcheck_rescaled_key_identical;
+    QCheck_alcotest.to_alcotest qcheck_key_matches_reference;
     QCheck_alcotest.to_alcotest qcheck_rescaled_hit_equivalent;
     Alcotest.test_case "cache: LRU eviction" `Quick test_cache_lru_eviction;
     Alcotest.test_case "queue: backpressure" `Quick test_queue_backpressure;
@@ -593,6 +689,7 @@ let suite =
     Alcotest.test_case "engine: error responses" `Quick test_engine_errors;
     Alcotest.test_case "engine: ping/independent/moldable" `Quick
       test_engine_other_methods;
+    Alcotest.test_case "net: TCP_NODELAY on both ends" `Quick test_net_nodelay;
     Alcotest.test_case "server: end-to-end bit-for-bit" `Quick test_server_end_to_end;
     Alcotest.test_case "server: protocol errors" `Quick test_server_protocol_errors;
     Alcotest.test_case "server: queue backpressure" `Quick test_server_backpressure;
