@@ -154,7 +154,7 @@ let solve_par ?domains problem =
             let tasks = n_chunks - c0 in
             (* Each task owns slot i; the team claims indices through an
                atomic cursor but writes stay disjoint. *)
-            Domain_team.run team ~tasks (fun i ->
+            Domain_team.run team ~tasks (fun ~participant:_ i ->
                 let c = c0 + i in
                 let jlo = Stdlib.max x (c * par_chunk) in
                 let jhi = Stdlib.min (n - 1) (((c + 1) * par_chunk) - 1) in

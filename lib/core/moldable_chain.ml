@@ -181,7 +181,7 @@ let solve ?(domains = 1) t =
           let chunks = n_chunks_total - c0 in
           (* Task i = state (c, chunk) pair; each task owns slot i, so
              claim order cannot influence the merge below. *)
-          Ckpt_sim.Domain_team.run team ~tasks:(width * chunks) (fun i ->
+          Ckpt_sim.Domain_team.run team ~tasks:(width * chunks) (fun ~participant:_ i ->
               let c = i / chunks and k = i mod chunks in
               let ch = c0 + k in
               let jlo = Stdlib.max x (ch * mold_chunk) in

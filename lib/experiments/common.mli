@@ -13,7 +13,7 @@ type config = {
           configuration is used to produce EXPERIMENTS.md. *)
   domains : int option;
       (** Monte-Carlo domain-pool size; [None] lets the simulator pick
-          ({!Ckpt_sim.Parallel_exec.default_domains}). Tables are
+          ({!Ckpt_sim.Domain_team.default_domains}). Tables are
           bit-identical whatever the value. *)
   target_ci : float option;
       (** When set, the simulation-backed experiments sample adaptively

@@ -1,9 +1,9 @@
 (* Persistent team of worker domains for deterministic data-parallel
-   sweeps (see the mli for the determinism contract). The team exists so
-   DP solvers that launch many short parallel rounds per solve — one per
-   DP row, say — pay Domain.spawn once per team, not once per round:
-   workers park on a condition variable between rounds and are woken by
-   a generation bump. *)
+   rounds (see the mli for the determinism contract). A team pays
+   Domain.spawn once: workers park on a condition variable between
+   rounds and are woken by a generation bump, so the Monte-Carlo pool's
+   doubling rounds and a DP solver's one-round-per-row sweeps cost two
+   mutex handshakes per round, not thread creation. *)
 
 type t = {
   domains : int;  (* total participants, including the calling domain *)
@@ -13,7 +13,7 @@ type t = {
   round_done : Condition.t;  (* master parks here while workers drain *)
   mutable generation : int;  (* bumped per round; workers key off it *)
   mutable live : bool;
-  mutable job : (int -> unit) option;
+  mutable job : (participant:int -> int -> unit) option;
   mutable tasks : int;
   next : int Atomic.t;  (* task claim cursor for the current round *)
   cancelled : bool Atomic.t;  (* a task raised: stop claiming *)
@@ -27,13 +27,13 @@ let size t = t.domains
 (* Claim-execute loop shared by master and workers. The claim order is
    racy by design; determinism comes from tasks writing disjoint state
    (the contract in the mli), never from claim order. *)
-let claim_loop t fn tasks =
+let claim_loop t fn tasks participant =
   let continue = ref true in
   while !continue do
     let i = Atomic.fetch_and_add t.next 1 in
     if i >= tasks || Atomic.get t.cancelled then continue := false
     else
-      match fn i with
+      match fn ~participant i with
       | () -> ()
       | exception e ->
           Atomic.set t.cancelled true;
@@ -43,7 +43,7 @@ let claim_loop t fn tasks =
           continue := false
   done
 
-let rec worker_loop t last_gen =
+let rec worker_loop t participant last_gen =
   Mutex.lock t.mutex;
   while t.live && t.generation = last_gen do
     Condition.wait t.wake t.mutex
@@ -54,12 +54,12 @@ let rec worker_loop t last_gen =
   let tasks = t.tasks in
   Mutex.unlock t.mutex;
   if live then begin
-    (match job with Some fn -> claim_loop t fn tasks | None -> ());
+    (match job with Some fn -> claim_loop t fn tasks participant | None -> ());
     Mutex.lock t.mutex;
     t.finished <- t.finished + 1;
     if t.finished = Array.length t.workers then Condition.broadcast t.round_done;
     Mutex.unlock t.mutex;
-    worker_loop t gen
+    worker_loop t participant gen
   end
 
 let create ?domains () =
@@ -82,7 +82,8 @@ let create ?domains () =
       finished = 0;
     }
   in
-  t.workers <- Array.init (domains - 1) (fun _ -> Domain.spawn (fun () -> worker_loop t 0));
+  t.workers <-
+    Array.init (domains - 1) (fun i -> Domain.spawn (fun () -> worker_loop t (i + 1) 0));
   t
 
 let run t ~tasks fn =
@@ -104,7 +105,7 @@ let run t ~tasks fn =
     Mutex.unlock t.mutex;
     (* The master participates: with domains = 1 this is the whole
        round and the code path is purely sequential. *)
-    claim_loop t fn tasks;
+    claim_loop t fn tasks 0;
     Mutex.lock t.mutex;
     while t.finished < Array.length t.workers do
       Condition.wait t.round_done t.mutex

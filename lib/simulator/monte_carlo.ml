@@ -75,9 +75,6 @@ let estimate_segments ?domains ?target_ci ?max_runs ~model ~downtime ~runs ~rng 
   replicate ?domains ?target_ci ?max_runs ~runs ~rng
     (segments_sample ~model ~downtime segments)
 
-let estimate_segments_parallel ?domains ~model ~downtime ~runs ~rng segments =
-  estimate_segments ?domains ~model ~downtime ~runs ~rng segments
-
 let estimate_chain_policy ?domains ?target_ci ?max_runs ~model ~downtime
     ~initial_recovery ~runs ~rng ~decide tasks =
   replicate ?domains ?target_ci ?max_runs ~runs ~rng (fun _run run_rng ->

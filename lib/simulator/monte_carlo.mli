@@ -5,7 +5,7 @@
     common optional knobs:
 
     - [?domains] — pool size (default
-      {!Parallel_exec.default_domains}). Estimates are {e bit-identical}
+      {!Domain_team.default_domains}). Estimates are {e bit-identical}
       for any domain count given the same seed: run [r] draws from the
       substream ["run-r"] of the caller's [rng] seed regardless of which
       domain executes it, and the reduction tree is fixed by the batch
@@ -70,17 +70,6 @@ val estimate_chain_policy :
   estimate
 (** Same replication scheme for the policy-driven chain executor.
     [decide] must be thread-safe when [domains > 1]. *)
-
-val estimate_segments_parallel :
-  ?domains:int ->
-  model:failure_model ->
-  downtime:float ->
-  runs:int ->
-  rng:Ckpt_prng.Rng.t ->
-  Sim_run.segment list ->
-  estimate
-(** @deprecated Alias of {!estimate_segments} — every estimator is now
-    parallel; kept for source compatibility. *)
 
 type distribution = {
   samples : float array;  (** Sorted makespan samples. *)

@@ -1,31 +1,26 @@
-(* Chunked domain pool for Monte-Carlo replication campaigns.
+(* Monte-Carlo replication campaigns on a Domain_team.
 
-   Design constraints, in priority order:
+   Bit-identical estimates for any domain count: the run indices are
+   partitioned into fixed-size batches laid on an absolute grid, one
+   team task per batch; each batch is reduced sequentially into its own
+   Welford accumulator and the batch accumulators are merged in
+   batch-index order. Neither the batch boundaries nor the merge order
+   depend on how many domains processed the batches. Run [r] always
+   draws from [Rng.substream_run root r] of a root rebuilt from the
+   shared seed, so the sample set itself is independent of the layout.
 
-   1. Bit-identical estimates for any domain count. The run indices are
-      partitioned into fixed-size batches laid on an absolute grid; each
-      batch is reduced sequentially into its own Welford accumulator and
-      the batch accumulators are merged in batch-index order. Neither
-      the batch boundaries nor the merge order depend on how many
-      domains processed the batches, so the result of [estimate] is the
-      same float-for-float with 1 domain or 8. Run [r] always draws
-      from [Rng.substream_run root r] of a root rebuilt from the shared
-      seed, so the sample set itself is independent of the layout.
-   2. Exception safety. Every spawned domain is joined even when a
-      worker raises (e.g. [Sim_run.Livelock]); the first exception
-      observed is re-raised after the join, and a cancellation flag
-      stops the other workers from claiming further batches.
-   3. Load balance. Batches are claimed from a shared atomic counter
-      (work stealing), so a domain that drew expensive runs (many
-      failures) does not stall the others.
+   Claiming, cancellation and first-exception capture are the team's
+   (Domain_team.run): a raising batch stops further claims, the round
+   drains, the exception is re-raised, and the team is shut down with
+   the campaign. A campaign opens one team for all its rounds.
 
    Observability rides on the same batch grid: each batch runs under
    its own Ckpt_obs.Metrics collector, and the batch collectors are
    merged into the caller's collector in batch-index order after the
-   join — so even float-summing metrics (sim.lost_work) are
+   round — so even float-summing metrics (sim.lost_work) are
    bit-identical for any domain count, exactly like the estimates.
-   Wall-clock pool metrics (spawn/join time, per-domain utilization)
-   are tagged Timing and reported separately. *)
+   Wall-clock pool metrics (team create/shutdown, per-participant
+   utilization) are tagged Timing and reported separately. *)
 
 module Rng = Ckpt_prng.Rng
 module Welford = Ckpt_stats.Welford
@@ -34,14 +29,7 @@ module Span = Ckpt_obs.Span
 module Clock = Ckpt_obs.Clock
 
 let batch_size = 256
-
-let default_domains () = Stdlib.min 8 (Domain.recommended_domain_count ())
-
-let resolve_domains = function
-  | Some d when d >= 1 -> d
-  | Some _ -> invalid_arg "Parallel_exec: domains must be >= 1"
-  | None -> default_domains ()
-
+let batches runs = (runs + batch_size - 1) / batch_size
 let m_runs = Metrics.counter "mc.runs"
 let m_batches = Metrics.counter "pool.batches"
 let m_rounds = Metrics.counter "mc.adaptive_rounds"
@@ -50,117 +38,93 @@ let s_spawn = Metrics.sum ~kind:Timing "pool.spawn_s"
 let s_join = Metrics.sum ~kind:Timing "pool.join_s"
 let s_wall = Metrics.sum ~kind:Timing "pool.wall_s"
 
-(* Run [worker 0] on the current domain and [worker 1 .. domains-1] on
-   spawned ones; join every spawned domain unconditionally and re-raise
-   the first exception observed (in domain order, local worker first). *)
-let spawn_join ~domains worker =
-  let t_spawn = Clock.now_ns () in
-  let handles =
-    List.init (domains - 1) (fun i -> Domain.spawn (fun () -> worker (i + 1)))
-  in
-  Metrics.add s_spawn (Clock.elapsed_s t_spawn);
-  let first = ref None in
-  let note e = if !first = None then first := Some e in
-  (try worker 0 with e -> note e);
-  let t_join = Clock.now_ns () in
-  List.iter (fun h -> try Domain.join h with e -> note e) handles;
-  Metrics.add s_join (Clock.elapsed_s t_join);
-  match !first with Some e -> raise e | None -> ()
+let check_runs runs = if runs <= 0 then invalid_arg "Parallel_exec: runs must be positive"
 
-let run_range ?domains ?store ~base ~runs ~seed sample =
-  if runs <= 0 then invalid_arg "Parallel_exec: runs must be positive";
-  let domains = Stdlib.min (resolve_domains domains) runs in
-  let batches = (runs + batch_size - 1) / batch_size in
-  let accs = Array.make batches None in
+(* One team per campaign, created in the calling domain and sized by the
+   largest round the campaign can run, so no participant is spawned
+   without a batch to claim. Each spawned domain that runs a batch
+   registers a metrics shard that outlives it (Metrics keeps every
+   shard for snapshots): at most domains - 1 per campaign. *)
+let with_team ?domains ~largest_round f =
+  let domains = Option.value domains ~default:(Domain_team.default_domains ()) in
+  if domains < 1 then invalid_arg "Parallel_exec: domains must be >= 1";
+  let t_campaign = Clock.now_ns () in
+  let team = Domain_team.create ~domains:(Stdlib.min domains (batches largest_round)) () in
+  Metrics.add s_spawn (Clock.elapsed_s t_campaign);
+  Fun.protect
+    ~finally:(fun () ->
+      let t_join = Clock.now_ns () in
+      Domain_team.shutdown team;
+      Metrics.add s_join (Clock.elapsed_s t_join);
+      Metrics.add s_wall (Clock.elapsed_s t_campaign))
+    (fun () -> f team)
+
+let run_round ?(store = fun _ _ -> ()) team ~base ~runs ~seed sample =
+  let n = batches runs in
+  let accs = Array.init n (fun _ -> Welford.create ()) in
   (* One metrics collector per batch, merged in batch order below. *)
-  let mcols = Array.make batches None in
-  let busy_s = Array.make domains 0.0 in
-  let wall_s = Array.make domains 0.0 in
-  let batches_done = Array.make domains 0 in
-  let next = Atomic.make 0 in
-  let cancelled = Atomic.make false in
-  let store = match store with None -> fun _ _ -> () | Some f -> f in
+  let mcols = Array.init n (fun _ -> Metrics.create_collector ()) in
+  let size = Domain_team.size team in
+  let busy_s = Array.make size 0.0 in
+  let batches_done = Array.make size 0 in
   let parent = Metrics.current () in
-  let t_region = Clock.now_ns () in
-  let worker d =
-    (* Each domain rebuilds the root from the shared seed; substream
-       derivation reads only the seed, never the generator position. *)
-    let t_worker = Clock.now_ns () in
-    let root = Rng.create ~seed in
-    (* Per-domain GC telemetry, sampled at batch boundaries so the
-       gc.* Timing metrics attribute allocation to pool work. Sampling
-       happens outside the batch collector scope: gc.* rows are
-       Timing kind and must never enter the deterministically-merged
-       Engine section. *)
-    let gc_probe = Ckpt_obs.Gc_telemetry.probe () in
-    let rec loop () =
-      if not (Atomic.get cancelled) then begin
-        let b = Atomic.fetch_and_add next 1 in
-        if b < batches then begin
+  let t_round = Clock.now_ns () in
+  Span.with_ ~name:"pool.round"
+    ~args:[ ("base", string_of_int base); ("runs", string_of_int runs) ]
+    (fun () ->
+      Domain_team.run team ~tasks:n (fun ~participant b ->
           let lo = base + (b * batch_size) in
           let hi = Stdlib.min (base + runs) (lo + batch_size) in
           let t_batch = Clock.now_ns () in
-          let mcol = Metrics.create_collector () in
-          Metrics.with_collector mcol (fun () ->
+          (* GC telemetry is sampled on the domain that runs the batch,
+             outside the batch collector: gc.* rows are Timing kind and
+             must never enter the deterministically-merged Engine
+             section. *)
+          let gc_probe = Ckpt_obs.Gc_telemetry.probe () in
+          (* Substream derivation reads only the seed, never the
+             generator position. *)
+          let root = Rng.create ~seed in
+          Metrics.with_collector mcols.(b) (fun () ->
               Span.with_ ~name:"pool.batch"
                 ~args:
                   [ ("batch", string_of_int b); ("lo", string_of_int lo);
                     ("hi", string_of_int hi) ]
                 (fun () ->
-                  let acc = Welford.create () in
-                  (try
-                     for r = lo to hi - 1 do
-                       let x = sample r (Rng.substream_run root r) in
-                       Welford.add acc x;
-                       store r x
-                     done
-                   with e ->
-                     Atomic.set cancelled true;
-                     raise e);
+                  for r = lo to hi - 1 do
+                    let x = sample r (Rng.substream_run root r) in
+                    Welford.add accs.(b) x;
+                    store r x
+                  done;
                   Metrics.incr ~by:(hi - lo) m_runs;
-                  Metrics.incr m_batches;
-                  accs.(b) <- Some acc));
-          mcols.(b) <- Some mcol;
+                  Metrics.incr m_batches));
           Ckpt_obs.Gc_telemetry.sample gc_probe;
-          busy_s.(d) <- busy_s.(d) +. Clock.elapsed_s t_batch;
-          batches_done.(d) <- batches_done.(d) + 1;
-          loop ()
-        end
-      end
-    in
-    Fun.protect ~finally:(fun () -> wall_s.(d) <- Clock.elapsed_s t_worker) loop
-  in
-  Span.with_ ~name:"pool.round"
-    ~args:[ ("base", string_of_int base); ("runs", string_of_int runs) ]
-    (fun () -> spawn_join ~domains worker);
+          busy_s.(participant) <- busy_s.(participant) +. Clock.elapsed_s t_batch;
+          batches_done.(participant) <- batches_done.(participant) + 1));
+  let round_s = Clock.elapsed_s t_round in
   (* Deterministic merge: batch collectors in batch-index order, into
-     the collector that was current when the campaign started. *)
-  Array.iter
-    (function Some mcol -> Metrics.merge_into ~dst:parent mcol | None -> ())
-    mcols;
-  let region_s = Clock.elapsed_s t_region in
-  Metrics.add s_wall region_s;
-  for d = 0 to domains - 1 do
-    let gauge suffix = Metrics.gauge ~kind:Timing (Printf.sprintf "pool.domain%d.%s" d suffix) in
-    Metrics.set (gauge "batches") (float_of_int batches_done.(d));
-    Metrics.set (gauge "busy_s") busy_s.(d);
-    Metrics.set (gauge "queue_wait_s") (Float.max 0.0 (wall_s.(d) -. busy_s.(d)));
+     the collector that was current when the round started. *)
+  Array.iter (Metrics.merge_into ~dst:parent) mcols;
+  for p = 0 to size - 1 do
+    let gauge suffix = Metrics.gauge ~kind:Timing (Printf.sprintf "pool.domain%d.%s" p suffix) in
+    Metrics.set (gauge "batches") (float_of_int batches_done.(p));
+    Metrics.set (gauge "busy_s") busy_s.(p);
+    Metrics.set (gauge "queue_wait_s") (Float.max 0.0 (round_s -. busy_s.(p)));
     Metrics.set (gauge "utilization_pct")
-      (if region_s > 0.0 then 100.0 *. busy_s.(d) /. region_s else 0.0)
+      (if round_s > 0.0 then 100.0 *. busy_s.(p) /. round_s else 0.0)
   done;
-  Array.fold_left
-    (fun merged slot ->
-      match slot with Some acc -> Welford.merge merged acc | None -> merged)
-    (Welford.create ()) accs
+  Array.fold_left Welford.merge (Welford.create ()) accs
 
-let estimate ?domains ~runs ~seed sample = run_range ?domains ~base:0 ~runs ~seed sample
+let estimate ?domains ~runs ~seed sample =
+  check_runs runs;
+  with_team ?domains ~largest_round:runs (fun team ->
+      run_round team ~base:0 ~runs ~seed sample)
 
 let collect ?domains ~runs ~seed sample =
-  if runs <= 0 then invalid_arg "Parallel_exec: runs must be positive";
+  check_runs runs;
   let samples = Array.make runs 0.0 in
   let acc =
-    run_range ?domains ~base:0 ~runs ~seed sample
-      ~store:(fun r x -> samples.(r) <- x)
+    with_team ?domains ~largest_round:runs (fun team ->
+        run_round team ~store:(fun r x -> samples.(r) <- x) ~base:0 ~runs ~seed sample)
   in
   (samples, acc)
 
@@ -185,24 +149,34 @@ let report_ci acc =
           ("n", string_of_int (Welford.count acc)) ]
   end
 
+(* Every round the campaign can run, as (base, runs), capped at
+   [max_runs]. Each round doubles the campaign: the CI half-width
+   shrinks as 1/sqrt(n), so geometric growth overshoots the target by at
+   most sqrt(2) while keeping the number of rounds logarithmic. The
+   schedule depends only on the inputs, and whether a round runs only on
+   the (deterministic) estimates, never on the domain count. *)
+let doubling_rounds ~runs ~max_runs =
+  let rec grow total acc =
+    if total >= max_runs then List.rev acc
+    else
+      let extra = Stdlib.min total (max_runs - total) in
+      grow (total + extra) ((total, extra) :: acc)
+  in
+  grow runs [ (0, runs) ]
+
 let estimate_adaptive ?domains ~runs ~max_runs ~target_ci ~seed sample =
-  if runs <= 0 then invalid_arg "Parallel_exec: runs must be positive";
+  check_runs runs;
   if max_runs < runs then invalid_arg "Parallel_exec: max_runs must be >= runs";
   if not (target_ci > 0.0) then invalid_arg "Parallel_exec: target_ci must be positive";
-  Metrics.incr m_rounds;
-  let acc = ref (run_range ?domains ~base:0 ~runs ~seed sample) in
-  report_ci !acc;
-  while (not (converged ~target_ci !acc)) && Welford.count !acc < max_runs do
-    (* Double the campaign each round: the CI half-width shrinks as
-       1/sqrt(n), so geometric growth overshoots the target by at most
-       sqrt(2) while keeping the number of rounds logarithmic. The
-       round boundaries depend only on the (deterministic) estimates,
-       never on the domain count, preserving property 1. *)
-    let total = Welford.count !acc in
-    let extra = Stdlib.min total (max_runs - total) in
-    Metrics.incr m_rounds;
-    let round = run_range ?domains ~base:total ~runs:extra ~seed sample in
-    acc := Welford.merge !acc round;
-    report_ci !acc
-  done;
-  !acc
+  let rounds = doubling_rounds ~runs ~max_runs in
+  let largest_round = List.fold_left (fun m (_, n) -> Stdlib.max m n) 0 rounds in
+  with_team ?domains ~largest_round (fun team ->
+      let rec go acc = function
+        | [] -> acc
+        | (base, runs) :: later ->
+            Metrics.incr m_rounds;
+            let acc = Welford.merge acc (run_round team ~base ~runs ~seed sample) in
+            report_ci acc;
+            if converged ~target_ci acc then acc else go acc later
+      in
+      go (Welford.create ()) rounds)

@@ -2,12 +2,12 @@
     campaigns (OCaml 5 domains).
 
     A campaign of [runs] replications is partitioned into fixed-size
-    batches on an absolute run-index grid. A pool of domains claims
-    batches from a shared queue; run [r] draws its randomness from
-    {!Ckpt_prng.Rng.substream_run}[ root r] where [root] is rebuilt from
-    the shared [seed], and each batch is reduced into its own
-    {!Ckpt_stats.Welford} accumulator. Batch accumulators are merged in
-    batch-index order.
+    batches on an absolute run-index grid, and each round runs its
+    batches as the tasks of a {!Domain_team} round; run [r] draws its
+    randomness from {!Ckpt_prng.Rng.substream_run}[ root r] where [root]
+    is rebuilt from the shared [seed], and each batch is reduced into its
+    own {!Ckpt_stats.Welford} accumulator. Batch accumulators are merged
+    in batch-index order.
 
     {b Determinism guarantee}: neither the sample set nor the reduction
     tree depends on the number of domains, so every function below
@@ -15,10 +15,17 @@
     [seed] and [runs] — the property [test/test_parallel.ml] checks for
     domain counts 1, 2, 3 and 7.
 
+    {b One team per campaign}: each call opens one team in the calling
+    domain for all its rounds, sized
+    [min domains (batches of the largest round the campaign can run)],
+    and shuts it down on return. [domains] defaults to
+    {!Domain_team.default_domains}.
+
     {b Exception safety}: if any replication raises (e.g.
-    {!Sim_run.Livelock}), the remaining workers stop claiming batches,
-    every spawned domain is joined, and the first exception observed is
-    re-raised — no domain is ever leaked.
+    {!Sim_run.Livelock}), the unclaimed batches are cancelled, the round
+    drains, the team's domains are joined, and the first exception
+    recorded is re-raised — no domain is ever leaked, and the next
+    campaign runs normally.
 
     The [sample] callback runs concurrently on several domains: it must
     not mutate shared state (closing over per-call state derived from
@@ -27,10 +34,6 @@
 val batch_size : int
 (** Runs per batch (256). Part of the determinism contract: changing it
     changes the reduction tree, hence the low-order bits of estimates. *)
-
-val default_domains : unit -> int
-(** [min 8 (Domain.recommended_domain_count ())]: the pool size used
-    when [?domains] is omitted. *)
 
 val estimate :
   ?domains:int ->

@@ -89,25 +89,45 @@ let engine_section () =
     (Metrics.snapshot ())
 
 let test_engine_metrics_identical_across_domains () =
-  let snap domains =
-    Metrics.reset ();
-    ignore
-      (Monte_carlo.estimate_segments ~domains ~model:(Monte_carlo.Poisson_rate 0.08)
-         ~downtime:0.4 ~runs:3000 ~rng:(Rng.create ~seed:515L)
-         [ Sim_run.segment ~work:7.0 ~checkpoint:0.7 ~recovery:1.2 ]);
-    engine_section ()
+  let segments = [ Sim_run.segment ~work:7.0 ~checkpoint:0.7 ~recovery:1.2 ] in
+  let fixed domains =
+    Monte_carlo.estimate_segments ~domains ~model:(Monte_carlo.Poisson_rate 0.08)
+      ~downtime:0.4 ~runs:3000 ~rng:(Rng.create ~seed:515L) segments
   in
-  let reference = snap 1 in
-  Alcotest.(check bool) "reference campaign emitted metrics" true
-    (List.exists (fun (n, v) -> n = "sim.failures" && v <> Metrics.Counter 0) reference);
+  (* Six doubling rounds on one team, converging before the cap: the
+     multi-round path is where the team is reused. *)
+  let adaptive domains =
+    Monte_carlo.estimate_segments ~domains ~target_ci:0.03 ~max_runs:6400
+      ~model:(Monte_carlo.Poisson_rate 0.08) ~downtime:0.4 ~runs:100
+      ~rng:(Rng.create ~seed:515L) segments
+  in
   List.iter
-    (fun domains ->
-      let got = snap domains in
+    (fun (input, min_rounds, campaign) ->
+      let snap domains =
+        Metrics.reset ();
+        ignore (campaign domains);
+        engine_section ()
+      in
+      let reference = snap 1 in
       Alcotest.(check bool)
-        (Printf.sprintf "engine section bit-identical (%d domains)" domains)
+        (input ^ ": reference campaign emitted metrics")
         true
-        (compare reference got = 0))
-    [ 2; 4 ];
+        (List.exists (fun (n, v) -> n = "sim.failures" && v <> Metrics.Counter 0) reference);
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: at least %d adaptive rounds" input min_rounds)
+        true
+        (match List.assoc_opt "mc.adaptive_rounds" reference with
+        | Some (Metrics.Counter n) -> n >= min_rounds
+        | _ -> false);
+      List.iter
+        (fun domains ->
+          let got = snap domains in
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: engine section bit-identical (%d domains)" input domains)
+            true
+            (compare reference got = 0))
+        [ 2; 3; 7; 8 ])
+    [ ("fixed", 0, fixed); ("adaptive", 3, adaptive) ];
   Metrics.reset ()
 
 let test_hit_rate_derived_row () =

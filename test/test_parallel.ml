@@ -1,8 +1,11 @@
 (* Tests for the parallel Monte-Carlo engine: the bit-identical-
    for-any-domain-count guarantee across every estimator, adaptive
-   sampling semantics, and exception-safe domain joining. *)
+   sampling semantics, exception-safe domain joining, and the
+   Domain_team contract the engine runs on. *)
 
 module Parallel_exec = Ckpt_sim.Parallel_exec
+module Domain_team = Ckpt_sim.Domain_team
+module Metrics = Ckpt_obs.Metrics
 module Monte_carlo = Ckpt_sim.Monte_carlo
 module Sim_run = Ckpt_sim.Sim_run
 module Welford = Ckpt_stats.Welford
@@ -231,9 +234,84 @@ let test_livelock_propagates () =
   | _ -> Alcotest.fail "expected Livelock to propagate through the pool"
 
 let test_more_domains_than_runs () =
+  Metrics.reset ();
   let acc = Parallel_exec.estimate ~domains:8 ~runs:3 ~seed:7L (fun r _ -> float_of_int r) in
   Alcotest.(check int) "all runs executed" 3 (Welford.count acc);
-  Alcotest.(check bool) "mean of 0,1,2" true (Float.equal 1.0 (Welford.mean acc))
+  Alcotest.(check bool) "mean of 0,1,2" true (Float.equal 1.0 (Welford.mean acc));
+  (* One batch sizes the team to one participant: no domain starts
+     without a batch to claim. *)
+  Alcotest.(check bool) "no second participant" true
+    (match Metrics.find (Metrics.snapshot ()) "pool.domain1.batches" with
+    | None | Some (_, Metrics.Gauge None) -> true
+    | Some _ -> false)
+
+(* --- Domain_team, directly ------------------------------------------ *)
+
+(* Every index 0..tasks-1 runs exactly once, on a participant in
+   [0, size). With tasks = 0 any call would index past [hits] and fail
+   the round. *)
+let check_full_round team ~tasks =
+  let size = Domain_team.size team in
+  let hits = Array.init tasks (fun _ -> Atomic.make 0) in
+  let strays = Atomic.make 0 in
+  Domain_team.run team ~tasks (fun ~participant i ->
+      if participant < 0 || participant >= size then Atomic.incr strays;
+      Atomic.incr hits.(i));
+  let wrong = Array.fold_left (fun n h -> if Atomic.get h = 1 then n else n + 1) 0 hits in
+  Alcotest.(check int)
+    (Printf.sprintf "indices not run exactly once (%d domains, %d tasks)" size tasks)
+    0 wrong;
+  Alcotest.(check int)
+    (Printf.sprintf "participants outside [0, %d)" size)
+    0 (Atomic.get strays)
+
+let test_team_runs_every_index_once () =
+  List.iter
+    (fun domains ->
+      Domain_team.with_team ~domains (fun team ->
+          Alcotest.(check int) "team size" domains (Domain_team.size team);
+          List.iter (fun tasks -> check_full_round team ~tasks) [ 0; 1; 7; 300 ]))
+    [ 1; 2; 3; 8 ]
+
+let spin () =
+  for _ = 1 to 2_000 do
+    Domain.cpu_relax ()
+  done
+
+let test_team_exception_drains () =
+  List.iter
+    (fun domains ->
+      Domain_team.with_team ~domains (fun team ->
+          let started = Atomic.make 0 and finished = Atomic.make 0 in
+          (match
+             Domain_team.run team ~tasks:200 (fun ~participant:_ i ->
+                 Atomic.incr started;
+                 if i = 20 then raise (Boom i);
+                 spin ();
+                 Atomic.incr finished)
+           with
+          | () -> Alcotest.fail "expected Boom to propagate from run"
+          | exception Boom 20 -> ());
+          (* Every claimed task but the raising one completed before run
+             returned: the round drained. *)
+          Alcotest.(check int)
+            (Printf.sprintf "round drained before re-raise (%d domains)" domains)
+            (Atomic.get started - 1) (Atomic.get finished);
+          (* Sequentially the claim order is 0, 1, ...: nothing after the
+             raising task starts. *)
+          if domains = 1 then
+            Alcotest.(check int) "unclaimed tasks cancelled" 21 (Atomic.get started);
+          check_full_round team ~tasks:100))
+    [ 1; 3 ]
+
+let test_team_shutdown () =
+  let team = Domain_team.create ~domains:3 () in
+  check_full_round team ~tasks:10;
+  Domain_team.shutdown team;
+  Domain_team.shutdown team;
+  Alcotest.check_raises "run after shutdown"
+    (Invalid_argument "Domain_team.run: team already shut down") (fun () ->
+      Domain_team.run team ~tasks:1 (fun ~participant:_ _ -> ()))
 
 let test_invalid_arguments () =
   let sample _ _ = 0.0 in
@@ -278,4 +356,8 @@ let suite =
       test_livelock_propagates;
     Alcotest.test_case "more domains than runs" `Quick test_more_domains_than_runs;
     Alcotest.test_case "argument validation" `Quick test_invalid_arguments;
+    Alcotest.test_case "team runs every index once" `Quick test_team_runs_every_index_once;
+    Alcotest.test_case "team re-raises after the round drains" `Quick
+      test_team_exception_drains;
+    Alcotest.test_case "team shutdown is final and idempotent" `Quick test_team_shutdown;
   ]

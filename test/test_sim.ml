@@ -321,9 +321,8 @@ let test_parallel_monte_carlo_agrees () =
       ~runs:20_000 ~rng:(Rng.create ~seed:4242L) segments
   in
   let parallel =
-    Monte_carlo.estimate_segments_parallel ~domains:4
-      ~model:(Monte_carlo.Poisson_rate 0.08) ~downtime:0.4 ~runs:20_000
-      ~rng:(Rng.create ~seed:4242L) segments
+    Monte_carlo.estimate_segments ~domains:4 ~model:(Monte_carlo.Poisson_rate 0.08)
+      ~downtime:0.4 ~runs:20_000 ~rng:(Rng.create ~seed:4242L) segments
   in
   (* Identical sample sets; only merge order differs. *)
   close ~tol:1e-9 "same mean" sequential.Monte_carlo.mean parallel.Monte_carlo.mean;
