@@ -16,9 +16,7 @@ let run_chain spec_path lambda_override compare obs_flush =
       prerr_endline msg;
       exit 2
   in
-  (* The memoized Algorithm 1 transcription, so --metrics reports real
-     dp.memo hit rates alongside the placement. *)
-  let solution = Chain_dp.solve_memoized problem in
+  let solution = Chain_dp.plan problem in
   Printf.printf "chain: %d tasks, total work %g, lambda %g, D %g, R0 %g\n"
     (Chain_problem.size problem) (Chain_problem.total_work problem)
     problem.Chain_problem.lambda problem.Chain_problem.downtime

@@ -136,7 +136,7 @@ let run spec_path lambda_override runs seed =
     problem.Chain_problem.lambda
     (1.0 /. problem.Chain_problem.lambda)
     problem.Chain_problem.downtime problem.Chain_problem.initial_recovery;
-  let solution = Chain_dp.solve problem in
+  let solution = Chain_dp.plan problem in
   placement_section problem solution;
   policy_section problem solution;
   budget_section problem;

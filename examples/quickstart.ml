@@ -39,7 +39,7 @@ let () =
 
   (* 4. Let Algorithm 1 (the O(n^2) dynamic program) place checkpoints
      optimally. *)
-  let solution = Chain_dp.solve problem in
+  let solution = Chain_dp.plan problem in
   Printf.printf "optimal placement:          E(T) = %.2f  %s\n"
     solution.Chain_dp.expected_makespan
     (Schedule.to_string solution.Chain_dp.schedule);

@@ -55,7 +55,7 @@ let () =
   List.iter
     (fun mtbf ->
       let p = problem (1.0 /. mtbf) in
-      let solution = Chain_dp.solve p in
+      let solution = Chain_dp.plan p in
       let names =
         List.map
           (fun i -> (let t = p.Chain_problem.tasks.(i) in t.Task.name))
@@ -95,7 +95,7 @@ let () =
           (if Monte_carlo.contains estimate.Monte_carlo.ci99 analytic then "yes" else "NO");
         ])
     [
-      ("optimal (DP)", (Chain_dp.solve p).Chain_dp.schedule);
+      ("optimal (DP)", (Chain_dp.plan p).Chain_dp.schedule);
       ("checkpoint-all", Schedule.checkpoint_all p);
       ("checkpoint-none", Schedule.checkpoint_none p);
       ("Daly period", Schedule.daly p);

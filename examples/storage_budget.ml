@@ -27,7 +27,7 @@ let () =
   in
   let dag = Generate.chain rng spec ~n:24 in
   let problem = Chain_problem.of_dag ~downtime:1.0 ~initial_recovery:1.0 ~lambda:0.02 dag in
-  let unconstrained = Chain_dp.solve problem in
+  let unconstrained = Chain_dp.plan problem in
   Printf.printf "24-task chain, lambda = 0.02; unconstrained optimum: E = %.2f with %d checkpoints\n\n"
     unconstrained.Chain_dp.expected_makespan
     (Schedule.checkpoint_count unconstrained.Chain_dp.schedule);

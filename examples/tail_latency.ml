@@ -30,7 +30,7 @@ let () =
   let rng = Rng.create ~seed:90125L in
   let schedules =
     [
-      ("optimal (DP)", (Chain_dp.solve problem).Chain_dp.schedule);
+      ("optimal (DP)", (Chain_dp.plan problem).Chain_dp.schedule);
       ("checkpoint-all", Schedule.checkpoint_all problem);
       ("checkpoint-none", Schedule.checkpoint_none problem);
     ]

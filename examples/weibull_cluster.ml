@@ -71,7 +71,7 @@ let () =
           (Cluster_log.generate ~heterogeneity:0.2 ~law ~nodes ~horizon:1500.0 sample_rng))
   in
   let law = fitted in
-  let static_schedule = (Chain_dp.solve problem).Chain_dp.schedule in
+  let static_schedule = (Chain_dp.plan problem).Chain_dp.schedule in
   let policies =
     [
       ("static DP (memoryless)", Nonmemoryless.static static_schedule);

@@ -305,29 +305,6 @@ let all ~quick =
        in
        macro "moldable-chain-dp-8x9" [ "dp" ] (fun () ->
            ignore (Ckpt_core.Moldable_chain.solve problem)));
-      (* The domain-parallel moldable sweep at a size where the team is
-         actually engaged (64 tasks x 9 candidates). Wall time depends
-         on the runner's core count, so the band in bench.toml is wide;
-         bit-identity with the sequential sweep is the test suite's
-         job, not this gate's. *)
-      (let tasks =
-         List.init 64 (fun i ->
-             let workload =
-               match i mod 3 with
-               | 0 -> Ckpt_core.Moldable.Perfectly_parallel
-               | 1 -> Ckpt_core.Moldable.Amdahl 0.02
-               | _ -> Ckpt_core.Moldable.Numerical_kernel 0.1
-             in
-             Ckpt_core.Moldable_chain.task ~workload
-               ~total_work:(1500.0 +. (250.0 *. float_of_int (i mod 7)))
-               ~checkpoint:(Ckpt_core.Moldable.Proportional 50.0) ())
-       in
-       let problem =
-         Ckpt_core.Moldable_chain.problem ~downtime:5.0 ~max_processors:256
-           ~proc_rate:1e-6 tasks
-       in
-       macro "moldable-chain-par" [ "dp"; "scaling" ] (fun () ->
-           ignore (Ckpt_core.Moldable_chain.solve ~domains:4 problem)));
     ]
   in
   let dist =

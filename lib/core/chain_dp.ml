@@ -2,12 +2,10 @@ type solution = { expected_makespan : float; schedule : Schedule.t }
 
 module Metrics = Ckpt_obs.Metrics
 module T = Dp_tables
-module Domain_team = Ckpt_sim.Domain_team
 
 (* Solver metrics: totals are deterministic for a given problem (and,
    under the parallel Monte-Carlo pool, for a given seed) whatever the
-   domain count — integer counters merge commutatively. The parallel
-   sweeps keep that true by counting on the master domain only. *)
+   domain count — integer counters merge commutatively. *)
 let m_memo_hits = Metrics.counter "dp.memo_hits"
 let m_memo_misses = Metrics.counter "dp.memo_misses"
 let m_states = Metrics.counter "dp.states_expanded"
@@ -117,67 +115,6 @@ let solve_memoized problem =
 
 let dp_values problem = T.to_float_array (fst (sweep problem))
 
-(* --- Domain-parallel exhaustive sweep -------------------------------- *)
-
-(* Fixed decision-chunk grid: chunk k covers columns
-   [k·par_chunk, (k+1)·par_chunk − 1] ∩ [x, n−1]. Boundaries are
-   absolute (independent of the domain count and of which domain claims
-   which chunk), so the ordered merge below is a pure function of the
-   problem — the same bit-identity discipline as Parallel_exec's batch
-   grid. *)
-let par_chunk = 4096
-
-let solve_par ?domains problem =
-  let n = Chain_problem.size problem in
-  let kernel = Chain_problem.kernel problem in
-  let domains =
-    match domains with Some d -> d | None -> Domain_team.default_domains ()
-  in
-  if domains < 1 then invalid_arg "Chain_dp.solve_par: domains must be >= 1";
-  if domains = 1 || n < 2 * par_chunk then solve problem
-  else begin
-    let value = T.floats (n + 1) in
-    let choice = T.ints n in
-    let n_chunks = (n + par_chunk - 1) / par_chunk in
-    let slot_val = T.floats n_chunks in
-    let slot_arg = T.ints n_chunks in
-    Domain_team.with_team ~domains (fun team ->
-        for x = n - 1 downto 0 do
-          Metrics.incr m_states;
-          Metrics.incr ~by:(n - x) m_transitions;
-          if n - x < 2 * par_chunk then
-            T.iset choice x
-              (Segment_cost.row_min kernel ~next:value ~row:x ~lo:x ~hi:(n - 1) ~into:value
-                 ~at:x)
-          else begin
-            let c0 = x / par_chunk in
-            let tasks = n_chunks - c0 in
-            (* Each task owns slot i; the team claims indices through an
-               atomic cursor but writes stay disjoint. *)
-            Domain_team.run team ~tasks (fun ~participant:_ i ->
-                let c = c0 + i in
-                let jlo = Stdlib.max x (c * par_chunk) in
-                let jhi = Stdlib.min (n - 1) (((c + 1) * par_chunk) - 1) in
-                T.iset slot_arg i
-                  (Segment_cost.row_min kernel ~next:value ~row:x ~lo:jlo ~hi:jhi
-                     ~into:slot_val ~at:i));
-            (* Merge in chunk order with strict <: the first chunk
-               attaining the global minimum wins, which is exactly the
-               leftmost argmin of the full left-to-right scan. *)
-            let best = ref infinity and best_j = ref x in
-            for i = 0 to tasks - 1 do
-              if T.fget slot_val i < !best then begin
-                best := T.fget slot_val i;
-                best_j := T.iget slot_arg i
-              end
-            done;
-            T.fset value x !best;
-            T.iset choice x !best_j
-          end
-        done);
-    solution_of problem value choice
-  end
-
 (* --- Monotone divide-and-conquer solver ----------------------------- *)
 
 (* The transition cost decomposes as c(x, j) = a(x)·E(j) − pre(x)
@@ -192,10 +129,10 @@ let solve_par ?domains problem =
    (~n log n over the benchmarked range) instead of O(n²), every one of
    them through the same Segment_cost tables as `solve` so the two
    agree to float rounding. *)
-let solve_dc ?(verify = true) problem =
+let solve_dc problem =
   let n = Chain_problem.size problem in
   let kernel = Chain_problem.kernel problem in
-  if verify && not (Segment_cost.supports_monotone_dc kernel) then begin
+  if not (Segment_cost.supports_monotone_dc kernel) then begin
     (* Monotonicity check failed (cost spike larger than a task weight,
        or the kernel is in overflow-reference mode): the divide and
        conquer would prune decisions it may not prune, so fall back to
@@ -302,18 +239,15 @@ let rec solve_block kernel ws value best choice a b =
    grow like √n, so windows stay narrow — the bench linearity gate
    pins this). Every combine runs on one workspace of O(block) words
    allocated here, so the solve allocates nothing per state. *)
-let solve_smawk ?(verify = true) ?domains ?(block = 256) problem =
+let solve_smawk ?(verify = true) ?(block = 256) problem =
   if block < 2 then invalid_arg "Chain_dp.solve_smawk: block must be >= 2";
   let n = Chain_problem.size problem in
   let kernel = Chain_problem.kernel problem in
   if verify && not (Segment_cost.supports_monotone_dc kernel) then begin
     (* Same certificate as solve_dc: without total monotonicity SMAWK's
-       pruning is unsound, so fall back to the exhaustive sweep —
-       domain-parallel when a team is requested. *)
+       pruning is unsound, so fall back to the exhaustive sweep. *)
     Metrics.incr m_smawk_fallbacks;
-    match domains with
-    | Some d when d > 1 -> solve_par ~domains:d problem
-    | _ -> solve problem
+    solve problem
   end
   else begin
     let value = T.floats (n + 1) in
@@ -339,6 +273,8 @@ let solve_smawk ?(verify = true) ?domains ?(block = 256) problem =
     Metrics.incr ~by:evals m_smawk_transitions;
     solution_of problem value choice
   end
+
+let plan problem = solve_smawk problem
 
 (* value.(k·(n+1) + x): optimal expectation for the suffix x..n-1 using
    exactly k further checkpoints; infinity when infeasible. Flat SoA
@@ -389,6 +325,6 @@ let budget_curve problem =
   List.init n (fun i -> (i + 1, T.fget value ((i + 1) * width)))
 
 let first_segment_end problem =
-  match Schedule.checkpoint_indices (solve problem).schedule with
+  match Schedule.checkpoint_indices (plan problem).schedule with
   | first :: _ -> first
   | [] -> assert false

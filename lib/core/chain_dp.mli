@@ -1,22 +1,29 @@
 (** Algorithm 1 of the paper: the O(n²) dynamic program computing the
-    optimal checkpoint placement for a linear chain (Proposition 3),
-    plus an O(n log² n)-transition divide-and-conquer solver and a
-    linear-transition SMAWK solver for the (generic) monotone-decision
-    case, and a domain-parallel exhaustive sweep for the rest.
+    optimal checkpoint placement for a linear chain (Proposition 3).
 
-    Equivalent implementations are provided and cross-checked in the
-    test suite: a faithful transcription of the paper's memoized
-    recursion (kept on the reference per-call [exp]/[expm1] evaluation,
-    the correctness oracle), a bottom-up iteration, the monotone divide
-    and conquer, the blocked SMAWK solver, and the parallel sweep. The
-    bottom-up solvers evaluate transition costs through the chain's
+    Solvers, by role:
+    - {!plan} is the production entry point: every caller that only
+      needs an optimal placement goes through it. It is {!solve_smawk}
+      with its defaults, so it equals {!solve} bit for bit on every
+      input.
+    - {!solve} (the bottom-up O(n²) sweep) and {!solve_memoized} (a
+      faithful transcription of the paper's memoized recursion, kept on
+      the reference per-call [exp]/[expm1] evaluation) are the
+      correctness oracles: the test suite, the [ckpt-serve smoke]
+      check, E3's comparison and E4's O(n²) slope use them.
+    - {!solve_smawk} with its [verify]/[block] knobs and the monotone
+      divide and conquer {!solve_dc} stay for the repo benchmark
+      ([perfbench/]) and the bench suite's linearity gate, which time
+      and count them.
+
+    The bottom-up solvers evaluate transition costs through the chain's
     precomputed {!Segment_cost} kernel — multiplications only on the
     hot path, inside {!Segment_cost.row_min} and
     {!Segment_cost.row_minima}, the loops that own the kernel — keep
     their DP tables in flat off-heap {!Dp_tables} structure-of-arrays
     storage (million-task tables never touch the GC), and run in O(n)
     space thanks to prefix sums of the task weights. See
-    docs/KERNELS.md for the layout and the determinism contracts. *)
+    docs/KERNELS.md for the layout and the tie discipline. *)
 
 type solution = {
   expected_makespan : float;  (** Optimal expectation E(1, n). *)
@@ -33,7 +40,14 @@ val solve_memoized : Chain_problem.t -> solution
     same solution as {!solve} (to the kernel's 1e-9 relative
     tolerance). *)
 
-val solve_dc : ?verify:bool -> Chain_problem.t -> solution
+val plan : Chain_problem.t -> solution
+(** The optimal placement, by the fastest exact solver: {!solve_smawk}
+    when the {!Segment_cost.supports_monotone_dc} certificate holds,
+    otherwise a counted [dp.smawk_fallbacks] and the {!solve} sweep.
+    Bit-for-bit equal to {!solve} — expected makespan and schedule — on
+    every input. *)
+
+val solve_dc : Chain_problem.t -> solution
 (** Divide-and-conquer solver exploiting decision monotonicity: when
     the segment-cost matrix is inverse-Monge
     ({!Segment_cost.supports_monotone_dc} — always for uniform-cost
@@ -44,15 +58,12 @@ val solve_dc : ?verify:bool -> Chain_problem.t -> solution
     makespan to float rounding (same kernel-backed costs, same
     smallest-index tie-breaking).
 
-    [verify] (default [true]) runs the O(n) monotonicity verification
-    first and {e falls back automatically} to the O(n²) {!solve} when it
-    fails — the fallback is counted by the [dp.dc_fallbacks] metric, and
-    also triggers when the kernel is in overflow-reference mode.
-    [~verify:false] skips the check and forces the divide and conquer;
-    the result is then only optimal if the instance really is monotone
-    (benchmark/diagnostic use). *)
+    It runs the O(n) monotonicity verification first and {e falls back
+    automatically} to the O(n²) {!solve} when it fails — the fallback
+    is counted by the [dp.dc_fallbacks] metric, and also triggers when
+    the kernel is in overflow-reference mode. *)
 
-val solve_smawk : ?verify:bool -> ?domains:int -> ?block:int -> Chain_problem.t -> solution
+val solve_smawk : ?verify:bool -> ?block:int -> Chain_problem.t -> solution
 (** Linear-transition solver: SMAWK row minima over the inverse-Monge
     transition matrix, applied to blocks of [block] (default 256)
     states processed right to left with a window that shrinks to the
@@ -74,23 +85,12 @@ val solve_smawk : ?verify:bool -> ?domains:int -> ?block:int -> Chain_problem.t 
     words in total, not per state (the test suite and the bench
     linearity gate hold it under 1 word per task).
 
-    [verify] (default [true]) behaves like {!solve_dc}'s: when the
-    certificate fails, the solver counts a [dp.smawk_fallbacks] and
-    falls back to the exhaustive sweep — {!solve_par} with [domains]
-    when [domains > 1] is given, plain {!solve} otherwise. Raises
-    [Invalid_argument] if [block < 2]. *)
-
-val solve_par : ?domains:int -> Chain_problem.t -> solution
-(** The exhaustive O(n²) sweep, domain-parallel: each DP row's decision
-    range is cut on a fixed absolute chunk grid, chunks are claimed by
-    a persistent worker team and write disjoint slots, and the master
-    merges them in chunk order — so the result is {e bit-identical} to
-    {!solve} for any [domains] (default
-    [Domain_team.default_domains ()]). Metrics are counted by the
-    master only and equal {!solve}'s. Intended as the non-Monge
-    fallback path for large chains; short rows (and [domains = 1]) run
-    the sequential scan directly. Raises [Invalid_argument] if
-    [domains < 1]. *)
+    [verify] (default [true]) checks the certificate first: when it
+    fails, the solver counts a [dp.smawk_fallbacks] and falls back to
+    {!solve}, like {!solve_dc}. [~verify:false] skips the check and
+    forces SMAWK; the result is then only optimal if the instance
+    really is monotone (benchmark use). Raises [Invalid_argument] if
+    [block < 2]. *)
 
 val dp_values : Chain_problem.t -> float array
 (** [dp_values problem] is the table E of optimal expected times for

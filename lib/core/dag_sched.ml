@@ -57,7 +57,7 @@ let solve_order ?downtime ?initial_recovery ?cost_model ~lambda dag order =
   let problem =
     chain_of_linearization ?downtime ?initial_recovery ?cost_model ~lambda dag order
   in
-  let dp = Chain_dp.solve problem in
+  let dp = Chain_dp.plan problem in
   {
     order;
     placement = dp.Chain_dp.schedule;
@@ -139,7 +139,7 @@ let local_search ?downtime ?initial_recovery ?cost_model ?(iterations = 200) ~rn
     let problem =
       chain_of_linearization ?downtime ?initial_recovery ?cost_model ~lambda dag order
     in
-    (Chain_dp.solve problem).Chain_dp.expected_makespan
+    (Chain_dp.plan problem).Chain_dp.expected_makespan
   in
   let n = Dag.size dag in
   (* Seed with the best list-scheduling heuristic. *)
@@ -175,7 +175,7 @@ let local_search ?downtime ?initial_recovery ?cost_model ?(iterations = 200) ~rn
   let problem =
     chain_of_linearization ?downtime ?initial_recovery ?cost_model ~lambda dag final_order
   in
-  let dp = Chain_dp.solve problem in
+  let dp = Chain_dp.plan problem in
   {
     order = final_order;
     placement = dp.Chain_dp.schedule;

@@ -52,7 +52,7 @@ let order_tasks t ordering =
       let rng = Rng.create ~seed:(Int64.of_int (0x5eed + salt)) in
       Rng.shuffle rng tasks
 
-let solve_ordered t ordering = Chain_dp.solve (chain_of t (order_tasks t ordering))
+let solve_ordered t ordering = Chain_dp.plan (chain_of t (order_tasks t ordering))
 
 let best_ordered t orderings =
   if orderings = [] then invalid_arg "Independent.best_ordered: no orderings";
@@ -85,7 +85,7 @@ let lpt_grouping t ~groups =
   let sequence = List.concat_map List.rev (Array.to_list bins |> List.filter (( <> ) [])) in
   (* Re-optimise the placement over the induced order: at least as good
      as checkpointing exactly at bin boundaries. *)
-  Chain_dp.solve (chain_of t sequence)
+  Chain_dp.plan (chain_of t sequence)
 
 let auto_grouping t =
   let total_work = Array.fold_left (fun acc task -> acc +. task.Task.work) 0.0 t.tasks in

@@ -10,22 +10,26 @@ type scenario = {
   downtime : float;
 }
 
-let scenario ?(downtime = 0.0) ~total_work ~workload ~overhead ~proc_rate () =
-  if not (total_work > 0.0) then invalid_arg "Moldable.scenario: total_work must be positive";
-  if not (proc_rate > 0.0) then invalid_arg "Moldable.scenario: proc_rate must be positive";
-  if downtime < 0.0 then invalid_arg "Moldable.scenario: downtime must be non-negative";
+let check_models fn workload overheads =
   (match workload with
   | Perfectly_parallel -> ()
   | Amdahl gamma ->
       if not (gamma >= 0.0 && gamma < 1.0) then
-        invalid_arg "Moldable.scenario: Amdahl gamma must lie in [0,1)"
+        invalid_arg (fn ^ ": Amdahl gamma must lie in [0,1)")
   | Numerical_kernel gamma ->
-      if not (gamma > 0.0) then
-        invalid_arg "Moldable.scenario: kernel gamma must be positive");
-  (match overhead with
-  | Proportional alpha_v | Constant alpha_v ->
-      if not (alpha_v > 0.0) then
-        invalid_arg "Moldable.scenario: checkpoint volume must be positive");
+      if not (gamma > 0.0) then invalid_arg (fn ^ ": kernel gamma must be positive"));
+  List.iter
+    (function
+      | Proportional alpha_v | Constant alpha_v ->
+          if not (alpha_v > 0.0) then
+            invalid_arg (fn ^ ": checkpoint volume must be positive"))
+    overheads
+
+let scenario ?(downtime = 0.0) ~total_work ~workload ~overhead ~proc_rate () =
+  if not (total_work > 0.0) then invalid_arg "Moldable.scenario: total_work must be positive";
+  if not (proc_rate > 0.0) then invalid_arg "Moldable.scenario: proc_rate must be positive";
+  if downtime < 0.0 then invalid_arg "Moldable.scenario: downtime must be non-negative";
+  check_models "Moldable.scenario" workload [ overhead ];
   { total_work; workload; overhead; proc_rate; downtime }
 
 let check_p p = if p < 1 then invalid_arg "Moldable: p must be >= 1"

@@ -29,10 +29,18 @@ type scenario = private {
   downtime : float;  (** D >= 0. *)
 }
 
+val check_models : string -> workload -> overhead list -> unit
+(** [check_models fn workload overheads] raises
+    [Invalid_argument "fn: ..."] unless the model parameters lie in
+    their ranges: Amdahl γ ∈ [0, 1), kernel γ > 0, and αV > 0 for every
+    overhead. Shared by {!scenario} and [Moldable_chain.task]. *)
+
 val scenario :
   ?downtime:float ->
   total_work:float -> workload:workload -> overhead:overhead -> proc_rate:float ->
   unit -> scenario
+(** Raises [Invalid_argument] unless [total_work > 0], [proc_rate > 0],
+    [downtime >= 0] and the models pass {!check_models}. *)
 
 val work_of : workload:workload -> total_work:float -> p:int -> float
 (** W(p) for a given model and sequential load (standalone helper, also

@@ -25,7 +25,8 @@ val task :
   ?name:string -> ?workload:Moldable.workload -> ?recovery:Moldable.overhead ->
   total_work:float -> checkpoint:Moldable.overhead -> unit -> task
 (** Defaults: perfectly parallel workload; recovery = the checkpoint
-    model. *)
+    model. Raises [Invalid_argument] unless [total_work > 0] and the
+    workload and both overheads pass {!Moldable.check_models}. *)
 
 type problem = private {
   tasks : task array;
@@ -50,17 +51,9 @@ type solution = {
           every segment ends with a checkpoint. *)
 }
 
-val solve : ?domains:int -> problem -> solution
+val solve : problem -> solution
 (** The O(n²·|candidates|²) dynamic program described above, on flat
-    {!Dp_tables} structure-of-arrays storage.
-
-    [domains] (default [1]: purely sequential) runs the per-state
-    decision sweep on a persistent worker-domain team. Each state's
-    decision range is cut on a fixed absolute chunk grid, chunks write
-    disjoint result slots, and the master merges them in chunk order —
-    so the solution is {e bit-identical} for any domain count (the test
-    suite checks {1, 2, 4, 8}). Raises [Invalid_argument] if
-    [domains < 1]. *)
+    {!Dp_tables} structure-of-arrays storage. *)
 
 val solve_fixed_allocation : problem -> processors:int -> Chain_dp.solution
 (** Baseline: one allocation for the whole chain (reduces to the paper's

@@ -29,7 +29,7 @@ let run config =
   List.iter
     (fun lambda ->
       let problem = Chain_problem.with_lambda base lambda in
-      let dp = Chain_dp.solve problem in
+      let dp = Chain_dp.plan problem in
       let opt = dp.Chain_dp.expected_makespan in
       let ratio schedule = Schedule.expected_makespan schedule /. opt in
       Table.add_row table
@@ -74,7 +74,7 @@ let run config =
           Common.bool_cell (Monte_carlo.contains estimate.Monte_carlo.ci99 analytic);
         ])
     [
-      ("DP optimum", (Chain_dp.solve problem).Chain_dp.schedule);
+      ("DP optimum", (Chain_dp.plan problem).Chain_dp.schedule);
       ("checkpoint-all", Schedule.checkpoint_all problem);
       ("checkpoint-none", Schedule.checkpoint_none problem);
       ("Young", Schedule.young problem);

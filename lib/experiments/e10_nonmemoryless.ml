@@ -33,7 +33,7 @@ let chain () =
 let run config =
   let runs = Common.runs config ~full:4000 in
   let problem = chain () in
-  let dp_schedule = (Chain_dp.solve problem).Chain_dp.schedule in
+  let dp_schedule = (Chain_dp.plan problem).Chain_dp.schedule in
   let policies law =
     [
       ("static DP (memoryless opt)", Nonmemoryless.static dp_schedule);

@@ -27,7 +27,7 @@ let laws mean =
 let run _config =
   let mean = 40.0 in
   let problem = problem mean in
-  let makespan_schedule = (Chain_dp.solve problem).Chain_dp.schedule in
+  let makespan_schedule = (Chain_dp.plan problem).Chain_dp.schedule in
   let table =
     Table.create
       ~title:

@@ -57,7 +57,7 @@ let run config =
         Chain_problem.make ~downtime ~initial_recovery ~lambda:(1.0 /. mean)
           (Array.to_list tasks)
       in
-      let exp_schedule = (Chain_dp.solve problem).Chain_dp.schedule in
+      let exp_schedule = (Chain_dp.plan problem).Chain_dp.schedule in
       let platform = Platform.make ~downtime ~processors:1 ~proc_law:law () in
       let simulate placement label_suffix =
         let schedule = Schedule.make problem placement in

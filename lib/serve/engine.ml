@@ -89,12 +89,10 @@ let plan_chain t ~id params =
     | Some hit ->
         (hit.Plan_cache.checkpoints_after, hit.Plan_cache.expected_makespan, "hit")
     | None ->
-        (* Fastest applicable solver: SMAWK when the monotonicity
-           certificate holds, with a counted fallback to the exhaustive
-           sweep otherwise. Bit-for-bit equal to Chain_dp.solve either
-           way (the CI smoke checks served plans against the offline
-           oracle), so cache keys and cached answers are unchanged. *)
-        let solution = Chain_dp.solve_smawk problem in
+        (* Bit-for-bit equal to Chain_dp.solve (the CI smoke checks
+           served plans against that offline oracle), so cache keys and
+           cached answers do not depend on the solver path. *)
+        let solution = Chain_dp.plan problem in
         Plan_cache.store t.plan_cache key solution;
         ( Schedule.checkpoint_indices solution.Chain_dp.schedule,
           solution.Chain_dp.expected_makespan,

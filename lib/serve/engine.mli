@@ -6,13 +6,15 @@
     Methods (grammar in docs/SERVING.md):
     - [ping] — liveness probe, returns ["pong"].
     - [plan_chain] — Algorithm 1 on a linear chain via
-      {!Ckpt_core.Chain_dp.solve} behind the canonicalizing
+      {!Ckpt_core.Chain_dp.plan} behind the canonicalizing
       {!Plan_cache}; responses carry a ["cache"] field ([hit]/[miss]).
     - [plan_independent] — the order-then-place heuristic family of
       Proposition 2 ({!Ckpt_core.Independent.best_ordered} over
       as-given / shortest-first / longest-first).
     - [plan_moldable] — the moldable-chain DP
-      ({!Ckpt_core.Moldable_chain.solve}). *)
+      ({!Ckpt_core.Moldable_chain.solve}); out-of-range model
+      parameters (see {!Ckpt_core.Moldable.check_models}) are
+      [bad_request]. *)
 
 type t
 

@@ -126,7 +126,3 @@ let shutdown t =
     Array.iter Domain.join t.workers;
     t.workers <- [||]
   end
-
-let with_team ?domains fn =
-  let t = create ?domains () in
-  Fun.protect ~finally:(fun () -> shutdown t) (fun () -> fn t)

@@ -45,7 +45,7 @@ let check_runs runs = if runs <= 0 then invalid_arg "Parallel_exec: runs must be
    without a batch to claim. Each spawned domain that runs a batch
    registers a metrics shard that outlives it (Metrics keeps every
    shard for snapshots): at most domains - 1 per campaign. *)
-let with_team ?domains ~largest_round f =
+let with_campaign_team ?domains ~largest_round f =
   let domains = Option.value domains ~default:(Domain_team.default_domains ()) in
   if domains < 1 then invalid_arg "Parallel_exec: domains must be >= 1";
   let t_campaign = Clock.now_ns () in
@@ -116,14 +116,14 @@ let run_round ?(store = fun _ _ -> ()) team ~base ~runs ~seed sample =
 
 let estimate ?domains ~runs ~seed sample =
   check_runs runs;
-  with_team ?domains ~largest_round:runs (fun team ->
+  with_campaign_team ?domains ~largest_round:runs (fun team ->
       run_round team ~base:0 ~runs ~seed sample)
 
 let collect ?domains ~runs ~seed sample =
   check_runs runs;
   let samples = Array.make runs 0.0 in
   let acc =
-    with_team ?domains ~largest_round:runs (fun team ->
+    with_campaign_team ?domains ~largest_round:runs (fun team ->
         run_round team ~store:(fun r x -> samples.(r) <- x) ~base:0 ~runs ~seed sample)
   in
   (samples, acc)
@@ -170,7 +170,7 @@ let estimate_adaptive ?domains ~runs ~max_runs ~target_ci ~seed sample =
   if not (target_ci > 0.0) then invalid_arg "Parallel_exec: target_ci must be positive";
   let rounds = doubling_rounds ~runs ~max_runs in
   let largest_round = List.fold_left (fun m (_, n) -> Stdlib.max m n) 0 rounds in
-  with_team ?domains ~largest_round (fun team ->
+  with_campaign_team ?domains ~largest_round (fun team ->
       let rec go acc = function
         | [] -> acc
         | (base, runs) :: later ->

@@ -285,7 +285,7 @@ let test_smawk_ties_and_blocks () =
 let test_smawk_fallback_on_nonmonotone () =
   (* Same spike instance as the dc fallback test: solve_smawk must
      detect the broken certificate, count dp.smawk_fallbacks, and
-     return exactly solve's answer — through the parallel sweep too. *)
+     return exactly solve's answer. *)
   let tasks =
     List.mapi
       (fun i w ->
@@ -299,8 +299,7 @@ let test_smawk_fallback_on_nonmonotone () =
   let p = Chain_problem.make ~downtime:0.2 ~lambda:0.2 tasks in
   Ckpt_obs.Metrics.reset ();
   let dp = Chain_dp.solve p in
-  bit_identical "fallback (sequential)" dp (Chain_dp.solve_smawk p);
-  bit_identical "fallback (parallel sweep)" dp (Chain_dp.solve_smawk ~domains:4 p);
+  bit_identical "fallback" dp (Chain_dp.solve_smawk p);
   let snapshot = Ckpt_obs.Metrics.snapshot () in
   let counter name =
     match Ckpt_obs.Metrics.find snapshot name with
@@ -308,44 +307,19 @@ let test_smawk_fallback_on_nonmonotone () =
     | Some _ -> Alcotest.fail (name ^ " is not a counter")
     | None -> Alcotest.fail (name ^ " not recorded")
   in
-  Alcotest.(check int) "two smawk fallbacks counted" 2 (counter "dp.smawk_fallbacks");
+  Alcotest.(check int) "one smawk fallback counted" 1 (counter "dp.smawk_fallbacks");
   (* Both fallback counters are registered at module init, so they are
      present in every snapshot (hence in `--metrics` output) even when
      never incremented in this process run. *)
   Alcotest.(check int) "dc fallback counter present and untouched" 0
     (counter "dp.dc_fallbacks")
 
-let test_solve_par_matches_solve () =
-  (* Chunked parallel sweep: bit-identical to solve for any domain
-     count, including rows split across several chunks (n beyond two
-     grid cells exercises the team path). *)
-  let p = random_problem 31_337L 700 in
-  let reference = Chain_dp.solve p in
-  List.iter
-    (fun domains ->
-      bit_identical
-        (Printf.sprintf "domains=%d" domains)
-        reference
-        (Chain_dp.solve_par ~domains p))
-    [ 1; 2; 4; 8 ];
-  (* Rows at least two 4096-state chunks long go to the team: here the
-     first 105, each split over three chunks. *)
-  let p = random_problem 27_182L 8_296 in
-  let reference = Chain_dp.solve p in
-  List.iter
-    (fun domains ->
-      bit_identical
-        (Printf.sprintf "n=8296, domains=%d" domains)
-        reference
-        (Chain_dp.solve_par ~domains p))
-    [ 2; 3 ]
-
 let qcheck_smawk_agreement =
-  (* Cross-solver agreement property: solve_smawk ≡ solve_dc ≡ solve on
-     random Monge instances and on adversarial non-Monge ones (random
-     recovery spikes force the counted fallback path). solve_smawk is
-     held to bit-for-bit equality including the schedule (its
-     leftmost-on-ties fold reproduces solve's scan exactly); solve_dc
+  (* Cross-solver agreement property: plan ≡ solve_smawk ≡ solve_dc ≡
+     solve on random Monge instances and on adversarial non-Monge ones
+     (random recovery spikes force the counted fallback path). plan and
+     solve_smawk are held to bit-for-bit equality including the schedule
+     (the leftmost-on-ties fold reproduces solve's scan exactly); solve_dc
      keeps its documented guarantee — equal makespan to float rounding
      and an equally-optimal placement whose ties may resolve to a
      different (equal-cost) index. *)
@@ -373,9 +347,12 @@ let qcheck_smawk_agreement =
       in
       let dp = Chain_dp.solve p in
       let smawk = Chain_dp.solve_smawk p in
+      let plan = Chain_dp.plan p in
       let dc = Chain_dp.solve_dc p in
       Float.equal smawk.Chain_dp.expected_makespan dp.Chain_dp.expected_makespan
       && Schedule.equal smawk.Chain_dp.schedule dp.Chain_dp.schedule
+      && Float.equal plan.Chain_dp.expected_makespan dp.Chain_dp.expected_makespan
+      && Schedule.equal plan.Chain_dp.schedule dp.Chain_dp.schedule
       && Float.abs (dc.Chain_dp.expected_makespan -. dp.Chain_dp.expected_makespan)
          <= 1e-9 *. dp.Chain_dp.expected_makespan
       && Schedule.equal dc.Chain_dp.schedule smawk.Chain_dp.schedule)
@@ -585,8 +562,6 @@ let suite =
     Alcotest.test_case "SMAWK = iterative DP" `Quick test_smawk_matches_solve;
     Alcotest.test_case "SMAWK ties and block sizes" `Quick test_smawk_ties_and_blocks;
     Alcotest.test_case "SMAWK fallback" `Quick test_smawk_fallback_on_nonmonotone;
-    Alcotest.test_case "parallel sweep = iterative DP" `Quick
-      test_solve_par_matches_solve;
     Alcotest.test_case "DP at extreme failure rates" `Quick test_dp_extreme_rates;
     Alcotest.test_case "DP value table" `Quick test_dp_values_structure;
     Alcotest.test_case "first segment end (numTask)" `Quick test_first_segment_end;

@@ -353,7 +353,7 @@ let test_dp_transition_counters_agree () =
   (* The divide and conquer does strictly fewer evaluations, and within
      the O(n log² n) bound (n·(log2 n + 1)² + n is generous already at
      n = 37 and stays so at bench sizes). *)
-  let dc = transitions_of (Ckpt_core.Chain_dp.solve_dc ?verify:None) in
+  let dc = transitions_of Ckpt_core.Chain_dp.solve_dc in
   let log2n = int_of_float (Float.ceil (Float.log2 37.0)) in
   Alcotest.(check bool)
     (Printf.sprintf "dc transitions (%d) below iterative (%d)" dc iterative)

@@ -265,10 +265,14 @@ let check_full_round team ~tasks =
     (Printf.sprintf "participants outside [0, %d)" size)
     0 (Atomic.get strays)
 
+let with_fresh_team ~domains fn =
+  let team = Domain_team.create ~domains () in
+  Fun.protect ~finally:(fun () -> Domain_team.shutdown team) (fun () -> fn team)
+
 let test_team_runs_every_index_once () =
   List.iter
     (fun domains ->
-      Domain_team.with_team ~domains (fun team ->
+      with_fresh_team ~domains (fun team ->
           Alcotest.(check int) "team size" domains (Domain_team.size team);
           List.iter (fun tasks -> check_full_round team ~tasks) [ 0; 1; 7; 300 ]))
     [ 1; 2; 3; 8 ]
@@ -281,7 +285,7 @@ let spin () =
 let test_team_exception_drains () =
   List.iter
     (fun domains ->
-      Domain_team.with_team ~domains (fun team ->
+      with_fresh_team ~domains (fun team ->
           let started = Atomic.make 0 and finished = Atomic.make 0 in
           (match
              Domain_team.run team ~tasks:200 (fun ~participant:_ i ->

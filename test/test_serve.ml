@@ -380,7 +380,44 @@ let test_engine_errors () =
     Json.Obj [ ("lambda", Json.Number 0.1); ("tasks", Json.List []) ]
   in
   Alcotest.(check string) "empty chain" "bad_request"
-    (error_code (Engine.handle engine (request ~params:bad_tasks "e3" "plan_chain")))
+    (error_code (Engine.handle engine (request ~params:bad_tasks "e3" "plan_chain")));
+  (* Out-of-range moldable models used to plan, with a negative
+     expected makespan or negative checkpoint costs. *)
+  let moldable_task ?workload ~checkpoint () =
+    Json.Obj
+      [
+        ("proc_rate", Json.Number 1e-6);
+        ("max_processors", Json.Number 64.0);
+        ( "tasks",
+          Json.List
+            [
+              Json.Obj
+                ([ ("total_work", Json.Number 2000.0); ("checkpoint", checkpoint) ]
+                @ Option.to_list (Option.map (fun w -> ("workload", w)) workload));
+            ] );
+      ]
+  in
+  let overhead model alpha_v =
+    Json.Obj [ ("model", Json.String model); ("alpha_v", Json.Number alpha_v) ]
+  in
+  let workload model gamma =
+    Json.Obj [ ("model", Json.String model); ("gamma", Json.Number gamma) ]
+  in
+  List.iteri
+    (fun i (label, params) ->
+      Alcotest.(check string) label "bad_request"
+        (error_code
+           (Engine.handle engine
+              (request ~params (Printf.sprintf "m%d" i) "plan_moldable"))))
+    [
+      ( "amdahl gamma < 0",
+        moldable_task ~workload:(workload "amdahl" (-3.0))
+          ~checkpoint:(overhead "proportional" 50.0) () );
+      ( "kernel gamma < 0",
+        moldable_task ~workload:(workload "numerical" (-50.0))
+          ~checkpoint:(overhead "proportional" 50.0) () );
+      ("negative checkpoint volume", moldable_task ~checkpoint:(overhead "constant" (-5.0)) ());
+    ]
 
 let test_engine_other_methods () =
   let engine = Engine.create ~cache_capacity:4 in

@@ -123,6 +123,75 @@ let test_chain_nan_rejected () =
             (path ^ ":2: Task.make: checkpoint_cost must be non-negative")
             message))
 
+let read_file path =
+  let ic = open_in_bin path in
+  Fun.protect ~finally:(fun () -> close_in ic) (fun () ->
+      really_input_string ic (in_channel_length ic))
+
+let test_chain_cli_plans_through_plan () =
+  (* ckpt-chain must plan through Chain_dp.plan: on a chain where every
+     checkpoint and recovery cost is below every task weight the
+     monotonicity certificate holds, so the metrics show a SMAWK solve
+     of every state and no memoized recursion, and the printed plan is
+     the paper-faithful oracle's. *)
+  let n = 2_000 in
+  let buf = Buffer.create (n * 32) in
+  Buffer.add_string buf "lambda 0.01\ndowntime 0.5\ninitial_recovery 0.5\n";
+  for i = 0 to n - 1 do
+    Printf.bprintf buf "task %.17g %.17g %.17g\n"
+      (2.0 +. (float_of_int (i * 7_919 mod 97) /. 97.0))
+      (0.5 +. (float_of_int (i * 104_729 mod 89) /. 89.0))
+      (0.5 +. (float_of_int (i * 1_299_709 mod 83) /. 83.0))
+  done;
+  let spec = Buffer.contents buf in
+  if not (Sys.file_exists ckpt_chain_exe) then Alcotest.skip ();
+  with_spec_file spec (fun path ->
+      let out = Filename.temp_file "ckpt_chain" ".out" in
+      let metrics = Filename.temp_file "ckpt_chain" ".json" in
+      Fun.protect
+        ~finally:(fun () -> List.iter Sys.remove [ out; metrics ])
+        (fun () ->
+          let code =
+            Sys.command
+              (Printf.sprintf "%s %s --metrics json --metrics-out %s > %s"
+                 (Filename.quote ckpt_chain_exe) (Filename.quote path)
+                 (Filename.quote metrics) (Filename.quote out))
+          in
+          Alcotest.(check int) "ckpt-chain exits 0" 0 code;
+          let counter name =
+            let json = Ckpt_json.Json.parse (read_file metrics) in
+            match
+              Option.bind (Ckpt_json.Json.member "metrics" json) (fun m ->
+                  Option.bind (Ckpt_json.Json.member name m) Ckpt_json.Json.to_int)
+            with
+            | Some v -> v
+            | None -> Alcotest.fail (name ^ " missing from the metrics snapshot")
+          in
+          Alcotest.(check int) "every state solved by SMAWK" n (counter "dp.smawk_states");
+          Alcotest.(check int) "no memoized recursion" 0 (counter "dp.memo_misses");
+          let oracle = Ckpt_core.Chain_dp.solve_memoized (Chain_spec.parse_string spec) in
+          let line_after prefix =
+            match
+              List.find_opt
+                (String.starts_with ~prefix)
+                (String.split_on_char '\n' (read_file out))
+            with
+            | Some line ->
+                String.sub line (String.length prefix)
+                  (String.length line - String.length prefix)
+            | None -> Alcotest.fail ("no line starting " ^ prefix)
+          in
+          Alcotest.(check string) "makespan = solve_memoized's"
+            (Printf.sprintf "%.6f" oracle.Ckpt_core.Chain_dp.expected_makespan)
+            (line_after "optimal expected makespan: ");
+          Alcotest.(check string) "checkpoints = solve_memoized's"
+            (String.concat ", "
+               (List.map
+                  (fun i -> string_of_int (i + 1))
+                  (Ckpt_core.Schedule.checkpoint_indices
+                     oracle.Ckpt_core.Chain_dp.schedule)))
+            (line_after "checkpoints after tasks (1-based): ")))
+
 let test_chain_lambda_override () =
   let spec = "task 5 0.5 0.5" in
   let problem =
@@ -196,6 +265,8 @@ let suite =
     Alcotest.test_case "chain spec errors" `Quick test_chain_errors;
     Alcotest.test_case "chain lambda override" `Quick test_chain_lambda_override;
     Alcotest.test_case "chain spec rejects NaN costs" `Quick test_chain_nan_rejected;
+    Alcotest.test_case "ckpt-chain plans through Chain_dp.plan" `Quick
+      test_chain_cli_plans_through_plan;
     Alcotest.test_case "dag spec parse" `Quick test_dag_parse;
     Alcotest.test_case "dag spec round trip" `Quick test_dag_round_trip;
     Alcotest.test_case "dag spec errors" `Quick test_dag_errors;
