@@ -16,6 +16,17 @@
     window, during which the paper's model says no failure can occur)
     are consumed and the affected processors' clocks renew.
 
+    {1 Query stability}
+
+    Let [p] be the answer to the last query. While [p] is strictly
+    later than a new query time [q], [next_after t q] returns [p] and
+    changes no state: no draw, no consumed event. All three
+    implementations ({!poisson}, {!renewal} under both rejuvenation
+    policies, {!of_times}) keep this contract, so a caller that caches
+    [p] may skip every query before it and ask again only once its
+    clock reaches [p]; the answers are the same as with every query
+    made. {!Ckpt_sim.Sim_run.run_plan} relies on it.
+
     {1 Simultaneity (exact-tie) semantics}
 
     All three implementations coalesce simultaneous failures: a query at

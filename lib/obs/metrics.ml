@@ -171,30 +171,36 @@ let with_collector c f =
   Domain.DLS.set dls_collector c;
   Fun.protect ~finally:(fun () -> Domain.DLS.set dls_collector prev) f
 
+(* The emission paths check the slot length inline and call the
+   growing [ensure_*] (which allocates) only when the slot is missing,
+   so an emission into a grown collector allocates nothing. *)
 let incr ?(by = 1) id =
   let c = current () in
-  ensure_counter c (id + 1);
+  if Array.length c.counters <= id then ensure_counter c (id + 1);
   c.counters.(id) <- c.counters.(id) + by
 
 let add id x =
   let c = current () in
-  ensure_sum c (id + 1);
+  if Array.length c.sums <= id then ensure_sum c (id + 1);
   c.sums.(id) <- c.sums.(id) +. x
 
 let set id x =
   let c = current () in
-  ensure_gauge c (id + 1);
+  if Array.length c.gauges <= id then ensure_gauge c (id + 1);
   c.gauges.(id) <- x;
   c.gauge_set.(id) <- true
 
 let bucket_index buckets v =
   let n = Array.length buckets in
-  let rec go i = if i >= n then n else if v <= buckets.(i) then i else go (i + 1) in
-  go 0
+  let i = ref 0 in
+  while !i < n && not (v <= buckets.(!i)) do
+    i := !i + 1
+  done;
+  !i
 
 let observe h v =
   let c = current () in
-  ensure_hist c (h.hslot + 1);
+  if Array.length c.hist_obs <= h.hslot then ensure_hist c (h.hslot + 1);
   if Array.length c.hist_counts.(h.hslot) = 0 then
     c.hist_counts.(h.hslot) <- Array.make (Array.length h.buckets + 1) 0;
   let counts = c.hist_counts.(h.hslot) in

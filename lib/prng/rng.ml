@@ -8,7 +8,9 @@ let substream t label =
 
 let split t = { t with gen = Xoshiro256.split t.gen }
 
-let substream_run t run = substream t ("run-" ^ string_of_int run)
+let substream_run t run =
+  let sub_seed = Splitmix64.of_label_int t.seed "run-" run in
+  { gen = Xoshiro256.create sub_seed; seed = sub_seed }
 
 let int64 t = Xoshiro256.next_int64 t.gen
 

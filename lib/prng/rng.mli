@@ -20,7 +20,8 @@ val split : t -> t
     [t] by 2^128 draws; successive splits never overlap. *)
 
 val substream_run : t -> int -> t
-(** [substream_run t r] is [substream t ("run-" ^ string_of_int r)]:
+(** [substream_run t r] is [substream t ("run-" ^ string_of_int r)],
+    derived without building the label string:
     the canonical per-replication substream of the Monte-Carlo drivers.
     Because the derivation depends only on [t]'s seed and on [r], the
     sample set of a replication campaign is the same whether the run

@@ -14,7 +14,17 @@ val create : int64 -> t
 val next : t -> int64
 (** [next t] returns the next 64-bit output and advances the state. *)
 
+val fill : int64 -> Bytes.t -> unit
+(** [fill seed buf] writes the first [Bytes.length buf / 8] outputs of
+    [create seed] into [buf] as native-endian 64-bit words, without
+    boxing them. *)
+
 val of_label : int64 -> string -> int64
 (** [of_label seed label] deterministically derives a 64-bit sub-seed
     from [seed] and a human-readable [label]. Distinct labels give
     (with overwhelming probability) unrelated sub-seeds. *)
+
+val of_label_int : int64 -> string -> int -> int64
+(** [of_label_int seed prefix n] is
+    [of_label seed (prefix ^ string_of_int n)], computed without
+    building the string. *)

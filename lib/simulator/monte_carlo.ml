@@ -65,15 +65,15 @@ let replicate ?domains ?target_ci ?max_runs ~runs ~rng sample =
   in
   estimate_of_welford acc
 
-let segments_sample ~model ~downtime segments _run run_rng =
+(* Segment campaigns compile their plan once and run it on the
+   compiled executor, bit-identical to Sim_run.run_segments. *)
+let segments_sample ~model ~downtime plan _run run_rng =
   let stream = stream_of_model model run_rng in
-  Sim_run.run_segments ~downtime
-    ~next_failure:(Failure_stream.next_after stream)
-    segments
+  (Sim_run.run_plan ~downtime stream plan).Sim_run.makespan
 
 let estimate_segments ?domains ?target_ci ?max_runs ~model ~downtime ~runs ~rng segments =
   replicate ?domains ?target_ci ?max_runs ~runs ~rng
-    (segments_sample ~model ~downtime segments)
+    (segments_sample ~model ~downtime (Sim_run.compile segments))
 
 let estimate_chain_policy ?domains ?target_ci ?max_runs ~model ~downtime
     ~initial_recovery ~runs ~rng ~decide tasks =
@@ -89,7 +89,7 @@ let collect_segments ?domains ~model ~downtime ~runs ~rng segments =
   if runs <= 0 then invalid_arg "Monte_carlo.collect_segments: runs must be positive";
   let samples, acc =
     Parallel_exec.collect ?domains ~runs ~seed:(Rng.seed_of rng)
-      (segments_sample ~model ~downtime segments)
+      (segments_sample ~model ~downtime (Sim_run.compile segments))
   in
   Array.sort Float.compare samples;
   { samples; estimate = estimate_of_welford acc }
@@ -97,8 +97,8 @@ let collect_segments ?domains ~model ~downtime ~runs ~rng segments =
 let quantile d q = Ckpt_stats.Descriptive.quantile d.samples q
 
 let run_segments_on_trace ~downtime ~trace segments =
-  let stream = Trace.to_stream trace in
-  Sim_run.run_segments ~downtime ~next_failure:(Failure_stream.next_after stream) segments
+  (Sim_run.run_plan ~downtime (Trace.to_stream trace) (Sim_run.compile segments))
+    .Sim_run.makespan
 
 let estimate_chain_policy_on_logs ?domains ~downtime ~initial_recovery ~logs ~decide tasks =
   if logs = [] then invalid_arg "Monte_carlo.estimate_chain_policy_on_logs: no traces";

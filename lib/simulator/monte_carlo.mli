@@ -54,7 +54,10 @@ val estimate_segments :
   estimate
 (** Independent replications of {!Sim_run.run_segments}: run [r] draws
     its failures from the substream ["run-r"] of [rng], so individual
-    runs are reproducible and order-independent. *)
+    runs are reproducible and order-independent. The segments are
+    compiled once per campaign and every run executes on
+    {!Sim_run.run_plan}, which equals {!Sim_run.run_segments} bit for
+    bit. *)
 
 val estimate_chain_policy :
   ?domains:int ->
@@ -94,7 +97,8 @@ val quantile : distribution -> float -> float
 
 val run_segments_on_trace :
   downtime:float -> trace:Ckpt_failures.Trace.t -> Sim_run.segment list -> float
-(** One deterministic execution against a recorded trace. *)
+(** One deterministic execution against a recorded trace, on
+    {!Sim_run.run_plan}. *)
 
 val estimate_chain_policy_on_logs :
   ?domains:int ->

@@ -1,5 +1,6 @@
 module Task = Ckpt_dag.Task
 module Metrics = Ckpt_obs.Metrics
+module Failure_stream = Ckpt_failures.Failure_stream
 
 (* Engine metrics, emitted into the caller's current collector: under
    the parallel pool each run's events land in its batch's collector,
@@ -186,6 +187,123 @@ let run_segments_traced ?max_failures ~downtime ~next_failure segments =
   let emit e = events := e :: !events in
   let stats = run_segments_emitting ?max_failures ~emit ~downtime ~next_failure segments in
   (stats, List.rev !events)
+
+(* --- The compiled executor ------------------------------------------ *)
+
+type plan = { works : float array; checkpoints : float array; recoveries : float array }
+
+let compile segments =
+  let segs = Array.of_list segments in
+  {
+    works = Array.map (fun s -> s.work) segs;
+    checkpoints = Array.map (fun s -> s.checkpoint) segs;
+    recoveries = Array.map (fun s -> s.recovery) segs;
+  }
+
+(* The run's checkpoints reach sim.checkpoints in one addition, when the
+   run ends or an exception leaves it. *)
+let flush_checkpoints checkpoints = Metrics.incr ~by:checkpoints m_checkpoints
+
+let query ~checkpoints stream time =
+  let fail = Failure_stream.next_after stream time in
+  if Float.is_nan fail then begin
+    flush_checkpoints checkpoints;
+    invalid_arg "Sim_run: next_failure returned NaN"
+  end;
+  fail
+
+let count_plan_failure ~max_failures ~checkpoints failures =
+  Metrics.incr m_failures;
+  if failures > max_failures then begin
+    flush_checkpoints checkpoints;
+    raise (Livelock failures)
+  end
+
+(* [run_segments_emitting] with no hooks, as one loop over unboxed
+   locals: no closure, event or boxed float per segment. [pending] is
+   the stream's answer to the last query made. By the streams' query
+   stability it is also their answer to any later query before it, so
+   a phase asks the stream only when its start time has reached
+   [pending]; starting at [neg_infinity] makes the first phase ask. *)
+let run_plan ?(max_failures = default_max_failures) ~downtime stream plan =
+  if not (downtime >= 0.0) then invalid_arg "Sim_run.run_plan: negative downtime";
+  let works = plan.works and ckpts = plan.checkpoints and recoveries = plan.recoveries in
+  let pending = ref neg_infinity in
+  let now = ref 0.0 in
+  let failures = ref 0 and checkpoints = ref 0 in
+  for i = 0 to Array.length works - 1 do
+    let work = works.(i) and ckpt = ckpts.(i) and recovery = recoveries.(i) in
+    let start = ref !now in
+    let committed = ref false in
+    while not !committed do
+      let t = !start in
+      let work_end = t +. work in
+      let ckpt_end = work_end +. ckpt in
+      let interrupted = ref false and fail_at = ref 0.0 in
+      if work > 0.0 then begin
+        if not (!pending > t) then pending := query ~checkpoints:!checkpoints stream t;
+        let fail = !pending in
+        if fail < ckpt_end && fail <= work_end then begin
+          failures := !failures + 1;
+          count_plan_failure ~max_failures ~checkpoints:!checkpoints !failures;
+          Metrics.add m_lost_work (fail -. t);
+          Metrics.add m_lost_time (fail -. t);
+          interrupted := true;
+          fail_at := fail
+        end
+      end;
+      if not !interrupted then begin
+        if ckpt > 0.0 then begin
+          if not (!pending > work_end) then
+            pending := query ~checkpoints:!checkpoints stream work_end;
+          let fail = !pending in
+          if fail < ckpt_end then begin
+            failures := !failures + 1;
+            count_plan_failure ~max_failures ~checkpoints:!checkpoints !failures;
+            Metrics.add m_lost_work work;
+            Metrics.add m_lost_time (fail -. t);
+            interrupted := true;
+            fail_at := fail
+          end
+          else begin
+            checkpoints := !checkpoints + 1;
+            now := ckpt_end;
+            committed := true
+          end
+        end
+        else begin
+          checkpoints := !checkpoints + 1;
+          now := work_end;
+          committed := true
+        end
+      end;
+      if !interrupted then begin
+        (* Downtime, then recovery attempts until one completes; a
+           recovery always makes its query, even a zero-length one. *)
+        let resume = ref (!fail_at +. downtime) in
+        let recovering = ref true in
+        while !recovering do
+          let r = !resume in
+          let finish = r +. recovery in
+          if not (!pending > r) then pending := query ~checkpoints:!checkpoints stream r;
+          let fail = !pending in
+          if fail >= finish then begin
+            recovering := false;
+            start := finish
+          end
+          else begin
+            failures := !failures + 1;
+            count_plan_failure ~max_failures ~checkpoints:!checkpoints !failures;
+            Metrics.add m_lost_time (fail -. r);
+            resume := fail +. downtime
+          end
+        done
+      end
+    done
+  done;
+  flush_checkpoints !checkpoints;
+  Metrics.observe m_failures_per_run (float_of_int !failures);
+  { makespan = !now; failures = !failures }
 
 type chain_context = {
   task_index : int;

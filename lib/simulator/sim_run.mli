@@ -12,13 +12,16 @@
 
     {1 Failure queries}
 
-    Both executors query [next_failure] once per {e phase} (work,
-    checkpoint, and each recovery attempt), with non-decreasing times —
-    so a phase-aware injector ({!Ckpt_failures.Injector}) observes the
-    phase about to run via the [on_phase] hook before each query.
-    [next_failure t] must return a non-NaN time strictly later than [t]
-    (NaN raises [Invalid_argument]: under float comparison NaN would
-    silently read as "no failure ever").
+    The hooked executors ({!run_segments_emitting},
+    {!run_chain_policy_stats}) query [next_failure] once per {e phase}
+    (work, checkpoint, and each recovery attempt), with non-decreasing
+    times — so a phase-aware injector ({!Ckpt_failures.Injector})
+    observes the phase about to run via the [on_phase] hook before each
+    query. [next_failure t] must return a non-NaN time strictly later
+    than [t] (NaN raises [Invalid_argument]: under float comparison NaN
+    would silently read as "no failure ever"). The compiled executor
+    ({!run_plan}) asks a base stream only when its clock reaches the
+    pending failure, which gives the same answers (see {!run_plan}).
 
     {1 Loss accounting}
 
@@ -110,6 +113,41 @@ val run_segments_stats :
   downtime:float -> next_failure:(float -> float) -> segment list -> run_stats
 (** {!run_segments} plus the failure count, for validating the expected
     failure-count formula ({!Ckpt_core.Expected_time.expected_failures}). *)
+
+(** {1 Compiled plans}
+
+    The hook-free executor the Monte Carlo estimators run: a segment list
+    compiled once per campaign, then executed once per run with no
+    allocation per segment. *)
+
+type plan
+(** A segment list laid out as three float arrays: work, checkpoint and
+    recovery durations. *)
+
+val compile : segment list -> plan
+(** [compile segments] lays [segments] out as a plan. Like the other
+    executors it takes them as given: {!segment} is where durations are
+    validated. *)
+
+val run_plan :
+  ?max_failures:int ->
+  downtime:float -> Ckpt_failures.Failure_stream.t -> plan -> run_stats
+(** [run_plan ~downtime stream (compile segments)] equals
+    [run_segments_stats ~downtime
+    ~next_failure:(Failure_stream.next_after stream) segments] bit for
+    bit: makespan, failure count, {!Livelock} at the same count, and
+    every [sim.*] metric. It keeps the stream's pending failure time and
+    calls {!Ckpt_failures.Failure_stream.next_after} only when the run's
+    clock reaches it; the streams' query stability makes the skipped
+    queries exact. [sim.lost_work], [sim.lost_time] and [sim.failures]
+    are emitted per failure in the hooked executor's order;
+    [sim.checkpoints] is added once per run, also when {!Livelock} or
+    the NaN check ends the run early.
+
+    It has no [emit]/[on_phase] hooks and takes a base stream, not a
+    [next_failure] closure: injectors, scenarios, timelines and
+    phase-aware sources stay on {!run_segments_emitting}, which queries
+    at every phase. *)
 
 type chain_context = {
   task_index : int;  (** Index of the task that just completed. *)

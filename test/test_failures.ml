@@ -77,6 +77,60 @@ let test_stream_query_stability () =
   let f3 = Failure_stream.next_after stream f1 in
   Alcotest.(check bool) "next failure later" true (f3 > f1)
 
+(* The contract a caller caching the pending failure relies on: while
+   the last answer p is later than the query q, next_after returns p and
+   changes no state. Two copies of each source see one seeded
+   non-decreasing query sequence with exact ties (repeated queries,
+   queries at the pending failure itself, co-timed events); the eager
+   copy answers every query, the lazy one is asked only once q has
+   reached its last answer. Every answer must agree. *)
+let test_stream_query_stability_property () =
+  let sources rng =
+    let seed = Rng.int64 rng in
+    let times =
+      let t = ref 0.0 in
+      Array.init 40 (fun _ ->
+          if Rng.int rng 4 > 0 then t := !t +. Rng.float_range rng 0.0 3.0;
+          !t)
+    in
+    [
+      ("poisson", fun () -> Failure_stream.poisson ~rate:0.7 (Rng.create ~seed));
+      ( "renewal, weibull",
+        fun () ->
+          Failure_stream.renewal ~law:(Law.weibull ~shape:0.7 ~scale:4.0) ~processors:3
+            (Rng.create ~seed) );
+      ( "renewal, co-timed clocks",
+        fun () ->
+          Failure_stream.renewal ~law:(Law.deterministic 1.5) ~processors:3
+            (Rng.create ~seed) );
+      ( "renewal, all processors",
+        fun () ->
+          Failure_stream.renewal ~rejuvenation:Failure_stream.All_processors
+            ~law:(Law.weibull ~shape:1.5 ~scale:3.0) ~processors:4 (Rng.create ~seed) );
+      ("of_times with duplicates", fun () -> Failure_stream.of_times times);
+    ]
+  in
+  for case = 0 to 99 do
+    let rng = Rng.substream (Rng.create ~seed:77L) (Printf.sprintf "queries-%d" case) in
+    List.iter
+      (fun (name, make) ->
+        let eager = make () and lazy_ = make () in
+        let pending = ref neg_infinity and q = ref 0.0 in
+        for step = 1 to 200 do
+          (match Rng.int rng 4 with
+          | 0 -> () (* the same query again *)
+          | 1 -> if Float.is_finite !pending then q := Float.max !q !pending
+          | 2 -> q := !q +. Rng.float_range rng 0.0 0.5
+          | _ -> q := !q +. Rng.float_range rng 0.0 5.0);
+          let answer = Failure_stream.next_after eager !q in
+          if not (!pending > !q) then pending := Failure_stream.next_after lazy_ !q;
+          if not (answer > !q && Float.equal answer !pending) then
+            Alcotest.failf "%s, case %d, query %d at %h: every query %h, lazy %h" name case
+              step !q answer !pending
+        done)
+      (sources rng)
+  done
+
 let test_stream_monotone_guard () =
   let rng = Rng.create ~seed:105L in
   let stream = Failure_stream.poisson ~rate:1.0 rng in
@@ -472,6 +526,8 @@ let suite =
     Alcotest.test_case "platform model" `Quick test_platform;
     Alcotest.test_case "poisson inter-arrivals" `Slow test_poisson_stream_interarrival;
     Alcotest.test_case "stream query stability" `Quick test_stream_query_stability;
+    Alcotest.test_case "query stability: skipped queries are exact" `Quick
+      test_stream_query_stability_property;
     Alcotest.test_case "stream monotone guard" `Quick test_stream_monotone_guard;
     Alcotest.test_case "renewal superposition rate" `Slow
       test_renewal_exponential_matches_poisson_rate;

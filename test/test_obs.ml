@@ -68,6 +68,27 @@ let test_histogram_validation () =
       ignore (Metrics.counter "test.retype");
       ignore (Metrics.gauge "test.retype"))
 
+let test_incr_allocation_free () =
+  (* A collector created before a registration grows on the first
+     emission into the new slot; after that, emissions allocate
+     nothing. *)
+  let col = Metrics.create_collector () in
+  let c = Metrics.counter "test.incr_alloc" in
+  Metrics.reset ();
+  Metrics.with_collector col (fun () ->
+      Metrics.incr c;
+      let before = Gc.minor_words () in
+      for _ = 1 to 100_000 do
+        Metrics.incr c
+      done;
+      let words = Gc.minor_words () -. before in
+      Alcotest.(check bool)
+        (Printf.sprintf "%.0f minor words over 10^5 Metrics.incr" words)
+        true (Float.equal words 0.0));
+  Metrics.merge_into ~dst:(Metrics.current ()) col;
+  Alcotest.(check int) "every increment counted" 100_001 (counter_value "test.incr_alloc");
+  Metrics.reset ()
+
 let test_scoped_collector_isolation () =
   let c = Metrics.counter "test.scoped" in
   Metrics.reset ();
@@ -391,6 +412,7 @@ let suite =
     Alcotest.test_case "monotonic clock" `Quick test_clock_monotonic;
     Alcotest.test_case "histogram bucket edges" `Quick test_histogram_bucket_edges;
     Alcotest.test_case "histogram validation" `Quick test_histogram_validation;
+    Alcotest.test_case "Metrics.incr allocates nothing" `Quick test_incr_allocation_free;
     Alcotest.test_case "scoped collectors isolate until merged" `Quick
       test_scoped_collector_isolation;
     Alcotest.test_case "engine metrics bit-identical across domains" `Quick

@@ -128,6 +128,35 @@ let test_substream_independent_of_consumption () =
     Alcotest.check check_int64 "substream reproducible" (Rng.int64 sub_a) (Rng.int64 sub_b)
   done
 
+let test_substream_run_equals_label () =
+  (* The string-free derivation of the run substreams equals the
+     labelled one, at the sign and magnitude edges too. *)
+  let root = Rng.create ~seed:20121212L in
+  let check r =
+    let fast = Rng.substream_run root r
+    and slow = Rng.substream root ("run-" ^ string_of_int r) in
+    if not (Int64.equal (Rng.seed_of fast) (Rng.seed_of slow)
+            && Int64.equal (Rng.int64 fast) (Rng.int64 slow))
+    then Alcotest.failf "substream_run %d differs from substream \"run-%d\"" r r
+  in
+  for r = 0 to 100_000 do
+    check r
+  done;
+  List.iter check [ max_int; -1; min_int ]
+
+let test_xoshiro_pinned () =
+  (* The first outputs of seed 0, pinned: the state layout may change,
+     the sequence may not (every seeded table depends on it). *)
+  let x = Xoshiro256.create 0L in
+  List.iter
+    (fun expected -> Alcotest.check check_int64 "pinned output" expected (Xoshiro256.next_int64 x))
+    [ 0x99ec5f36cb75f2b4L; 0xbf6e1f784956452aL; 0x1a5f849d4933e6e0L; 0x6aa594f1262d2d2cL;
+      0xbba5ad4a1f842e59L ];
+  let child = Xoshiro256.split x in
+  Alcotest.check check_int64 "parent after jump" 0xfd4c3ae46ca64165L (Xoshiro256.next_int64 x);
+  Alcotest.check check_int64 "child at the split point" 0xffef8375d9ebcacaL
+    (Xoshiro256.next_int64 child)
+
 let test_substream_labels_distinct () =
   let rng = Rng.create ~seed:43L in
   let a = Rng.substream rng "x" and b = Rng.substream rng "y" in
@@ -159,6 +188,9 @@ let suite =
     Alcotest.test_case "xoshiro determinism" `Quick test_xoshiro_deterministic;
     Alcotest.test_case "xoshiro copy semantics" `Quick test_xoshiro_copy;
     Alcotest.test_case "xoshiro split disjoint" `Quick test_xoshiro_split_disjoint;
+    Alcotest.test_case "xoshiro pinned outputs" `Quick test_xoshiro_pinned;
+    Alcotest.test_case "substream_run = labelled substream" `Quick
+      test_substream_run_equals_label;
     Alcotest.test_case "float ranges" `Quick test_float_range_unit;
     Alcotest.test_case "float uniformity" `Quick test_float_uniformity;
     Alcotest.test_case "int bounds and coverage" `Quick test_int_bounds;

@@ -565,9 +565,181 @@ let test_nan_failure_time_rejected () =
            ~next_failure:(fun _ -> Float.nan)
            [ seg ~work:1.0 ~checkpoint:0.1 ~recovery:0.1 ]))
 
+(* --- The compiled executor against its oracle ------------------------ *)
+
+(* The sim.* Engine rows a run emitted into [collector], floats as %h so
+   the comparison is bit for bit. *)
+let sim_rows collector =
+  Metrics.reset ();
+  Metrics.merge_into ~dst:(Metrics.current ()) collector;
+  let rows =
+    List.filter_map
+      (fun (name, _, value) ->
+        if String.starts_with ~prefix:"sim." name then
+          let cell =
+            match value with
+            | Metrics.Counter n -> string_of_int n
+            | Metrics.Sum x -> Printf.sprintf "%h" x
+            | Metrics.Gauge None -> "unset"
+            | Metrics.Gauge (Some x) -> Printf.sprintf "%h" x
+            | Metrics.Histogram h ->
+                Printf.sprintf "%s / %h / %d"
+                  (String.concat "," (Array.to_list (Array.map string_of_int h.Metrics.counts)))
+                  h.Metrics.total h.Metrics.observations
+          in
+          Some (name, cell)
+        else None)
+      (Metrics.snapshot ())
+  in
+  Metrics.reset ();
+  rows
+
+type outcome = Finished of Sim_run.run_stats | Livelocked of int | Rejected of string
+
+(* Run [f] in a fresh collector; the outcome and the sim.* rows it left. *)
+let observed f =
+  let collector = Metrics.create_collector () in
+  let outcome =
+    Metrics.with_collector collector (fun () ->
+        match f () with
+        | stats -> Finished stats
+        | exception Sim_run.Livelock n -> Livelocked n
+        | exception Invalid_argument msg -> Rejected msg)
+  in
+  (outcome, sim_rows collector)
+
+let describe = function
+  | Finished s ->
+      Printf.sprintf "makespan %h, %d failures" s.Sim_run.makespan s.Sim_run.failures
+  | Livelocked n -> Printf.sprintf "Livelock %d" n
+  | Rejected msg -> "Invalid_argument " ^ msg
+
+(* [make_stream ()] must build a fresh copy of the same source: the
+   oracle and the compiled executor each consume one. *)
+let check_against_oracle ?max_failures name ~downtime ~make_stream segments =
+  let oracle, oracle_rows =
+    observed (fun () ->
+        let stream = make_stream () in
+        Sim_run.run_segments_emitting ?max_failures ~emit:ignore ~downtime
+          ~next_failure:(Failure_stream.next_after stream)
+          segments)
+  in
+  let compiled, compiled_rows =
+    observed (fun () ->
+        Sim_run.run_plan ?max_failures ~downtime (make_stream ()) (Sim_run.compile segments))
+  in
+  Alcotest.(check string) (name ^ ": outcome") (describe oracle) (describe compiled);
+  Alcotest.(check (list (pair string string))) (name ^ ": sim.* rows") oracle_rows compiled_rows
+
+(* Seeded random plans: each duration is zero a quarter of the time, and
+   the downtime a third of the time. *)
+let random_plan rng =
+  let duration () = if Rng.int rng 4 = 0 then 0.0 else Rng.float_range rng 0.1 5.0 in
+  let segments =
+    List.init (1 + Rng.int rng 8) (fun _ ->
+        seg ~work:(duration ()) ~checkpoint:(duration ()) ~recovery:(duration ()))
+  in
+  let downtime = if Rng.int rng 3 = 0 then 0.0 else Rng.float_range rng 0.0 1.0 in
+  (segments, downtime)
+
+(* Failure times placed exactly on phase boundaries: each new failure is
+   a start or finish instant of the traced run under the earlier ones,
+   no earlier than the last of them, so it lands on that boundary in the
+   final run too (duplicates included). *)
+let boundary_failures rng ~downtime segments =
+  let rec grow times k =
+    if k = 0 then times
+    else begin
+      let stream = Failure_stream.of_times (Array.of_list times) in
+      let _, events =
+        Sim_run.run_segments_traced ~downtime
+          ~next_failure:(Failure_stream.next_after stream)
+          segments
+      in
+      let last = List.fold_left Float.max 0.0 times in
+      let candidates =
+        List.concat_map (fun e -> [ e.Sim_run.start; e.Sim_run.finish ]) events
+        |> List.filter (fun t -> t >= last)
+        |> Array.of_list
+      in
+      if Array.length candidates = 0 then times
+      else grow (times @ [ candidates.(Rng.int rng (Array.length candidates)) ]) (k - 1)
+    end
+  in
+  Array.of_list (grow [] (Rng.int rng 7))
+
+let test_run_plan_matches_oracle () =
+  for case = 0 to 299 do
+    let rng = Rng.substream (Rng.create ~seed:2024L) (Printf.sprintf "plan-%d" case) in
+    let segments, downtime = random_plan rng in
+    let times = boundary_failures rng ~downtime segments in
+    let rate = Rng.float_range rng 0.01 0.4 in
+    let scale = Rng.float_range rng 2.0 20.0 and processors = 1 + Rng.int rng 4 in
+    let seed = Rng.int64 rng in
+    let sources =
+      [
+        ("boundary times", fun () -> Failure_stream.of_times times);
+        ("poisson", fun () -> Failure_stream.poisson ~rate (Rng.create ~seed));
+        ( "weibull renewal",
+          fun () ->
+            Failure_stream.renewal
+              ~law:(Ckpt_dist.Law.weibull ~shape:0.7 ~scale)
+              ~processors (Rng.create ~seed) );
+      ]
+    in
+    List.iter
+      (fun (source, make_stream) ->
+        let name = Printf.sprintf "case %d, %s" case source in
+        check_against_oracle name ~downtime ~make_stream segments;
+        (* A low failure bound: Livelock at the same count, with the
+           same sim.checkpoints and losses up to it. *)
+        check_against_oracle ~max_failures:(Rng.int rng 3) (name ^ ", livelock") ~downtime
+          ~make_stream segments)
+      sources
+  done
+
+let test_run_plan_nan_rejected () =
+  (* A Poisson stream queried at a NaN clock answers NaN: the segment
+     record below skips the validating constructor, so its checkpoint
+     phase starts at a NaN time. Both executors reject the answer after
+     the same checkpoint of the first segment. *)
+  let segments =
+    [ seg ~work:1.0 ~checkpoint:0.5 ~recovery:0.1;
+      { Sim_run.work = Float.nan; checkpoint = 1.0; recovery = 0.1 } ]
+  in
+  let make_stream () = Failure_stream.poisson ~rate:1e-6 (Rng.create ~seed:8L) in
+  check_against_oracle "NaN from the source" ~downtime:0.5 ~make_stream segments;
+  Alcotest.check_raises "the compiled executor raises too"
+    (Invalid_argument "Sim_run: next_failure returned NaN") (fun () ->
+      ignore
+        (Sim_run.run_plan ~downtime:0.5 (make_stream ()) (Sim_run.compile segments)))
+
+let test_run_plan_allocation_flat () =
+  (* No allocation per segment: a failure-free run of 10,000 segments
+     allocates as many minor words as one of 10. *)
+  let words n =
+    let plan =
+      Sim_run.compile
+        (List.init n (fun i ->
+             seg ~work:(1.0 +. float_of_int i) ~checkpoint:0.5 ~recovery:0.25))
+    in
+    ignore (Sim_run.run_plan ~downtime:1.0 (Failure_stream.of_times [||]) plan);
+    let stream = Failure_stream.of_times [||] in
+    let before = Gc.minor_words () in
+    ignore (Sim_run.run_plan ~downtime:1.0 stream plan);
+    Gc.minor_words () -. before
+  in
+  let w10 = words 10 and w10k = words 10_000 in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f minor words at 10 segments, %.0f at 10,000" w10 w10k)
+    true (Float.equal w10 w10k)
+
 let suite =
   [
     Alcotest.test_case "failure-free run" `Quick test_no_failure;
+    Alcotest.test_case "compiled executor = oracle" `Quick test_run_plan_matches_oracle;
+    Alcotest.test_case "compiled executor rejects NaN" `Quick test_run_plan_nan_rejected;
+    Alcotest.test_case "compiled executor allocation" `Quick test_run_plan_allocation_flat;
     Alcotest.test_case "lost-work/lost-time split (segments)" `Quick
       test_lost_accounting_segments;
     Alcotest.test_case "lost-work/lost-time split (chain)" `Quick
