@@ -89,6 +89,30 @@ let run_scenarios name seed coverage seed_budget obs_flush =
   obs_flush ();
   if !failed then exit 1
 
+let usage_error fmt =
+  Printf.ksprintf
+    (fun msg ->
+      prerr_endline ("ckpt-sim: " ^ msg);
+      exit 2)
+    fmt
+
+(* Bad numbers end the run with one line on stderr and exit 2, before
+   anything is simulated. *)
+let check_inputs ~work ~checkpoint ~recovery ~downtime ~processors ~runs ~domains ~target_ci =
+  List.iter
+    (fun (name, x) ->
+      if not (x >= 0.0 && Float.is_finite x) then
+        usage_error "--%s must be finite and non-negative (got %g)" name x)
+    [ ("work", work); ("checkpoint", checkpoint); ("recovery", recovery);
+      ("downtime", downtime) ];
+  List.iter
+    (fun (name, n) -> if n <= 0 then usage_error "--%s must be positive (got %d)" name n)
+    [ ("processors", processors); ("runs", runs);
+      ("domains", Option.value domains ~default:1) ];
+  match target_ci with
+  | Some x when not (x > 0.0) -> usage_error "--target-ci must be positive (got %g)" x
+  | _ -> ()
+
 let run work checkpoint recovery downtime law_spec processors runs seed timeline domains
     target_ci scenario scenario_list coverage seed_budget obs_flush =
   if scenario_list then list_scenarios ()
@@ -96,6 +120,7 @@ let run work checkpoint recovery downtime law_spec processors runs seed timeline
     match scenario with
     | Some name -> run_scenarios name seed coverage seed_budget obs_flush
     | None ->
+        check_inputs ~work ~checkpoint ~recovery ~downtime ~processors ~runs ~domains ~target_ci;
         let law = parse_law law_spec in
         let platform = Platform.make ~downtime ~processors ~proc_law:law () in
   let rng = Ckpt_prng.Rng.create ~seed:(Int64.of_int seed) in

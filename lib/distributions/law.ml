@@ -10,17 +10,24 @@ type t =
   | Uniform of { lo : float; hi : float }
   | Gamma of { shape : float; scale : float }
 
+(* Every guard is written [not (ok)], so that NaN, which fails every
+   comparison, is rejected with the out-of-range values. *)
+let positive_finite x = x > 0.0 && Float.is_finite x
+
 let validate law =
   match law with
-  | Deterministic v when v <= 0.0 -> Error "Deterministic: value must be positive"
-  | Exponential { rate } when rate <= 0.0 -> Error "Exponential: rate must be positive"
-  | Weibull { shape; scale } when shape <= 0.0 || scale <= 0.0 ->
-      Error "Weibull: shape and scale must be positive"
-  | Log_normal { sigma; _ } when sigma <= 0.0 -> Error "Log_normal: sigma must be positive"
-  | Uniform { lo; hi } when not (0.0 <= lo && lo < hi) ->
-      Error "Uniform: requires 0 <= lo < hi"
-  | Gamma { shape; scale } when shape <= 0.0 || scale <= 0.0 ->
-      Error "Gamma: shape and scale must be positive"
+  | Deterministic v when not (positive_finite v) ->
+      Error "Deterministic: value must be positive and finite"
+  | Exponential { rate } when not (positive_finite rate) ->
+      Error "Exponential: rate must be positive and finite"
+  | Weibull { shape; scale } when not (positive_finite shape && positive_finite scale) ->
+      Error "Weibull: shape and scale must be positive and finite"
+  | Log_normal { mu; sigma } when not (Float.is_finite mu && positive_finite sigma) ->
+      Error "Log_normal: mu must be finite and sigma positive and finite"
+  | Uniform { lo; hi } when not (0.0 <= lo && lo < hi && Float.is_finite hi) ->
+      Error "Uniform: requires 0 <= lo < hi < infinity"
+  | Gamma { shape; scale } when not (positive_finite shape && positive_finite scale) ->
+      Error "Gamma: shape and scale must be positive and finite"
   | law -> Ok law
 
 let checked law =
@@ -36,11 +43,14 @@ let deterministic v = checked (Deterministic v)
 let gamma_fn x = exp (Special.ln_gamma x)
 
 let weibull_of_mean ~shape ~mean =
-  if mean <= 0.0 then invalid_arg "Law.weibull_of_mean: mean must be positive";
+  (* The shape is checked before the gamma function sees it. *)
+  if not (positive_finite shape && positive_finite mean) then
+    invalid_arg "Law.weibull_of_mean: shape and mean must be positive and finite";
   weibull ~shape ~scale:(mean /. gamma_fn (1.0 +. (1.0 /. shape)))
 
 let log_normal_of_mean ~sigma ~mean =
-  if mean <= 0.0 then invalid_arg "Law.log_normal_of_mean: mean must be positive";
+  if not (positive_finite mean) then
+    invalid_arg "Law.log_normal_of_mean: mean must be positive and finite";
   log_normal ~mu:(log mean -. (0.5 *. sigma *. sigma)) ~sigma
 
 let mean law =

@@ -17,7 +17,9 @@ type t =
   | Gamma of { shape : float; scale : float }
 
 val validate : t -> (t, string) result
-(** Check parameter constraints (positivity etc.). *)
+(** Check parameter constraints: every parameter is finite (not NaN,
+    not infinite), rates, shapes, scales, sigmas and deterministic
+    values are positive, and a uniform law has [0 <= lo < hi]. *)
 
 val exponential : rate:float -> t
 (** Validated constructor; raises [Invalid_argument] on bad parameters.

@@ -22,8 +22,11 @@ type state =
 type t = { state : state; mutable last_query : float }
 
 let poisson ~rate rng =
-  (* [not (rate > 0)] also rejects NaN, which [rate <= 0] would admit. *)
-  if not (rate > 0.0) then invalid_arg "Failure_stream.poisson: rate must be positive";
+  (* [not (...)] also rejects NaN, which [rate <= 0] would admit. An
+     infinite rate would answer a query with the query time itself,
+     breaking the strictly-later contract. *)
+  if not (rate > 0.0 && Float.is_finite rate) then
+    invalid_arg "Failure_stream.poisson: rate must be positive and finite";
   let first = -.log (Rng.float_pos rng) /. rate in
   { state = Poisson { rate; p_rng = rng; next = first }; last_query = neg_infinity }
 

@@ -64,7 +64,8 @@ type rejuvenation =
           Exponential laws. *)
 
 val poisson : rate:float -> Ckpt_prng.Rng.t -> t
-(** Memoryless source with platform failure rate [rate] > 0. *)
+(** Memoryless source with platform failure rate [rate] > 0. Raises
+    [Invalid_argument] unless [rate] is positive and finite. *)
 
 val renewal :
   ?rejuvenation:rejuvenation -> law:Ckpt_dist.Law.t -> processors:int ->

@@ -224,14 +224,25 @@ let count_plan_failure ~max_failures ~checkpoints failures =
    the stream's answer to the last query made. By the streams' query
    stability it is also their answer to any later query before it, so
    a phase asks the stream only when its start time has reached
-   [pending]; starting at [neg_infinity] makes the first phase ask. *)
+   [pending]; starting at [neg_infinity] makes the first phase ask.
+
+   Each segment that the per-phase code commits is followed by a walk:
+   a loop with no call in it, so that the clock stays in a register,
+   that commits the segments after it which end before [pending]. The
+   first segment that does not goes back to the per-phase code (the
+   exactness argument is in the interface). The walk also stops at a
+   negative [c], where the per-phase code would commit [work_end]
+   instead. *)
 let run_plan ?(max_failures = default_max_failures) ~downtime stream plan =
   if not (downtime >= 0.0) then invalid_arg "Sim_run.run_plan: negative downtime";
   let works = plan.works and ckpts = plan.checkpoints and recoveries = plan.recoveries in
+  let n = Array.length works in
   let pending = ref neg_infinity in
   let now = ref 0.0 in
   let failures = ref 0 and checkpoints = ref 0 in
-  for i = 0 to Array.length works - 1 do
+  let next = ref 0 in
+  while !next < n do
+    let i = !next in
     let work = works.(i) and ckpt = ckpts.(i) and recovery = recoveries.(i) in
     let start = ref !now in
     let committed = ref false in
@@ -299,7 +310,24 @@ let run_plan ?(max_failures = default_max_failures) ~downtime stream plan =
           end
         done
       end
-    done
+    done;
+    (* The walk. [compile] gives the arrays one length, so
+       [!j < !stop <= n] bounds both. *)
+    let p = !pending and clock = ref !now and j = ref (i + 1) and stop = ref n in
+    while !j < !stop do
+      let c = Array.unsafe_get ckpts !j in
+      let finish = (!clock +. Array.unsafe_get works !j) +. c in
+      if finish < p && c >= 0.0 then begin
+        clock := finish;
+        incr j
+      end
+      else stop := !j
+    done;
+    (* Counted before segment [!j] runs: its Livelock and NaN exits
+       flush the count. *)
+    checkpoints := !checkpoints + (!j - i - 1);
+    now := !clock;
+    next := !j
   done;
   flush_checkpoints !checkpoints;
   Metrics.observe m_failures_per_run (float_of_int !failures);

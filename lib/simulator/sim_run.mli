@@ -144,6 +144,18 @@ val run_plan :
     [sim.checkpoints] is added once per run, also when {!Livelock} or
     the NaN check ends the run early.
 
+    Between failures it walks segments in a loop with no call in it,
+    which keeps the clock in a register. The loop commits a segment
+    whose end [(t +. w) +. c] is strictly before the pending failure:
+    every phase of it starts before that failure, so the per-phase code
+    would make no query, see no failure and commit the same two
+    additions (with [c] = ±0, its [work_end]: [t >= +0] keeps [t +. w]
+    from being -0). Any other segment (a failure, a boundary case, NaN
+    or infinite durations, a negative checkpoint in a record built
+    without {!segment}) and the first one, which makes the first query,
+    run the per-phase code; the walked checkpoints are counted before
+    it runs.
+
     It has no [emit]/[on_phase] hooks and takes a base stream, not a
     [next_failure] closure: injectors, scenarios, timelines and
     phase-aware sources stay on {!run_segments_emitting}, which queries

@@ -381,6 +381,16 @@ let test_poisson_tie_strictly_later () =
     t := f
   done
 
+let test_poisson_rate_checked () =
+  (* An infinite rate used to be accepted; its stream answered every
+     query with the query time itself. *)
+  List.iter
+    (fun rate ->
+      Alcotest.check_raises (Printf.sprintf "rate %g" rate)
+        (Invalid_argument "Failure_stream.poisson: rate must be positive and finite")
+        (fun () -> ignore (Failure_stream.poisson ~rate (Rng.create ~seed:1L))))
+    [ Float.infinity; Float.nan; 0.0; -1.0; Float.neg_infinity ]
+
 let test_injector_masked_subsequence () =
   (* Delivered failures are a strictly increasing subsequence of the
      base trace, and repeated queries are stable. *)
@@ -516,6 +526,7 @@ let suite =
     Alcotest.test_case "renewal tie coalescing" `Quick test_renewal_tie_coalescing;
     Alcotest.test_case "poisson strictly later at ties" `Quick
       test_poisson_tie_strictly_later;
+    Alcotest.test_case "poisson rate must be finite" `Quick test_poisson_rate_checked;
     Alcotest.test_case "injector: masked" `Quick test_injector_masked_subsequence;
     Alcotest.test_case "injector: aftershocks" `Quick test_injector_aftershocks;
     Alcotest.test_case "injector: phase-modulated" `Quick test_injector_phase_modulated;

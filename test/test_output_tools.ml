@@ -67,6 +67,20 @@ let test_law_spec_errors () =
       | Ok law -> Alcotest.fail (Printf.sprintf "%S accepted as %s" spec (Law.to_string law)))
     [ "bogus"; "exp"; "exp:zero"; "weibull:0.7"; "uniform:8:2"; "exp:-5" ]
 
+let test_law_spec_non_finite () =
+  (* Every parameter must be finite. These used to parse: exp:0 made a
+     rate-infinity Poisson stream that answered each query with the
+     query time itself, the NaN ones died later on a NaN heap key, and
+     the infinite ones simulated no failure at all. *)
+  List.iter
+    (fun spec ->
+      match Law_spec.parse spec with
+      | Error _ -> ()
+      | Ok law -> Alcotest.fail (Printf.sprintf "%S accepted as %s" spec (Law.to_string law)))
+    [ "exp:0"; "exp:inf"; "exp:nan"; "weibull:nan:1000"; "weibull:0.7:nan"; "weibull:-0.5:1000";
+      "weibull:inf:1000"; "lognormal:nan:1000"; "lognormal:1:inf"; "gamma:2:inf"; "gamma:nan:10";
+      "uniform:0:inf"; "uniform:nan:1"; "deterministic:inf"; "deterministic:nan" ]
+
 let test_law_spec_round_trip () =
   List.iter
     (fun spec ->
@@ -85,5 +99,6 @@ let suite =
     Alcotest.test_case "plot validation" `Quick test_plot_validation;
     Alcotest.test_case "law-spec parsing" `Quick test_law_spec_parse;
     Alcotest.test_case "law-spec errors" `Quick test_law_spec_errors;
+    Alcotest.test_case "law-spec non-finite parameters" `Quick test_law_spec_non_finite;
     Alcotest.test_case "law-spec round trip" `Quick test_law_spec_round_trip;
   ]

@@ -642,11 +642,25 @@ let random_plan rng =
   let downtime = if Rng.int rng 3 = 0 then 0.0 else Rng.float_range rng 0.0 1.0 in
   (segments, downtime)
 
-(* Failure times placed exactly on phase boundaries: each new failure is
-   a start or finish instant of the traced run under the earlier ones,
-   no earlier than the last of them, so it lands on that boundary in the
-   final run too (duplicates included). *)
-let boundary_failures rng ~downtime segments =
+let phase_boundaries events =
+  List.concat_map (fun e -> [ e.Sim_run.start; e.Sim_run.finish ]) events
+
+(* The instants where a segment commits: the finish of an uninterrupted
+   phase that the next segment's phases follow. *)
+let rec segment_ends = function
+  | (e : Sim_run.event) :: (next :: _ as rest) ->
+      if (not e.interrupted) && next.Sim_run.segment > e.segment then
+        e.finish :: segment_ends rest
+      else segment_ends rest
+  | [ e ] -> if e.interrupted then [] else [ e.finish ]
+  | [] -> []
+
+(* Failure times placed exactly on phase boundaries ([at], by default
+   every phase start and finish): each new failure is such an instant of
+   the traced run under the earlier ones, no earlier than the last of
+   them, so it lands on that boundary in the final run too (duplicates
+   included). *)
+let boundary_failures ?(at = phase_boundaries) rng ~downtime segments =
   let rec grow times k =
     if k = 0 then times
     else begin
@@ -657,11 +671,7 @@ let boundary_failures rng ~downtime segments =
           segments
       in
       let last = List.fold_left Float.max 0.0 times in
-      let candidates =
-        List.concat_map (fun e -> [ e.Sim_run.start; e.Sim_run.finish ]) events
-        |> List.filter (fun t -> t >= last)
-        |> Array.of_list
-      in
+      let candidates = at events |> List.filter (fun t -> t >= last) |> Array.of_list in
       if Array.length candidates = 0 then times
       else grow (times @ [ candidates.(Rng.int rng (Array.length candidates)) ]) (k - 1)
     end
@@ -696,6 +706,109 @@ let test_run_plan_matches_oracle () =
         check_against_oracle ~max_failures:(Rng.int rng 3) (name ^ ", livelock") ~downtime
           ~make_stream segments)
       sources
+  done
+
+(* Long plans, 50-400 segments, so the failure-free stretches between
+   failures run long. Work and checkpoint are each zero a tenth of the
+   time, and a fifth of the checkpoints lie between 2^-54 and the
+   smallest subnormal: small enough that [(t +. w) +. c] rounds to
+   [t +. w] once the clock passes 1. *)
+let long_plan rng =
+  let work () = if Rng.int rng 10 = 0 then 0.0 else Rng.float_range rng 0.5 20.0 in
+  let checkpoint () =
+    match Rng.int rng 10 with
+    | 0 -> 0.0
+    | 1 | 2 -> Float.ldexp (Rng.float_range rng 1.0 2.0) (-55 - Rng.int rng 1020)
+    | _ -> Rng.float_range rng 0.1 5.0
+  in
+  let segments =
+    List.init (50 + Rng.int rng 351) (fun _ ->
+        let work = work () in
+        let checkpoint = checkpoint () in
+        seg ~work ~checkpoint ~recovery:(Rng.float_range rng 0.0 5.0))
+  in
+  let downtime = if Rng.bool rng then 0.0 else Rng.float_range rng 0.0 2.0 in
+  (segments, downtime)
+
+(* Positive checkpoints that vanish from the failure-free clock:
+   [(t +. w) +. c = t +. w]. *)
+let absorbed_checkpoints segments =
+  snd
+    (List.fold_left
+       (fun (t, absorbed) (s : Sim_run.segment) ->
+         let work_end = t +. s.work in
+         let ckpt_end = work_end +. s.checkpoint in
+         let vanished = s.checkpoint > 0.0 && Float.equal ckpt_end work_end in
+         (ckpt_end, if vanished then absorbed + 1 else absorbed))
+       (0.0, 0) segments)
+
+(* A Poisson rate giving [failures] failures per failure-free run. *)
+let rate_for ~failures segments =
+  failures
+  /. List.fold_left (fun acc (s : Sim_run.segment) -> acc +. s.work +. s.checkpoint) 0.0 segments
+
+let test_run_plan_long_plans () =
+  let absorbed = ref 0 in
+  for case = 0 to 39 do
+    let rng = Rng.substream (Rng.create ~seed:2025L) (Printf.sprintf "long-%d" case) in
+    let segments, downtime = long_plan rng in
+    absorbed := !absorbed + absorbed_checkpoints segments;
+    let rate = rate_for ~failures:(Rng.float_range rng 0.01 5.0) segments in
+    let seed = Rng.int64 rng in
+    let ends = boundary_failures ~at:segment_ends rng ~downtime segments in
+    let sources =
+      [
+        ("no failures", fun () -> Failure_stream.of_times [||]);
+        ("poisson", fun () -> Failure_stream.poisson ~rate (Rng.create ~seed));
+        ("failures at segment ends", fun () -> Failure_stream.of_times ends);
+      ]
+    in
+    List.iter
+      (fun (source, make_stream) ->
+        let name =
+          Printf.sprintf "long case %d (%d segments), %s" case (List.length segments) source
+        in
+        check_against_oracle name ~downtime ~make_stream segments;
+        check_against_oracle ~max_failures:(Rng.int rng 3) (name ^ ", livelock") ~downtime
+          ~make_stream segments)
+      sources
+  done;
+  Alcotest.(check bool)
+    (Printf.sprintf "%d positive checkpoints vanish from the clock" !absorbed)
+    true (!absorbed > 0)
+
+let test_run_plan_unvalidated_segment () =
+  (* One segment of a long plan is a record built without [seg]: its
+     work is infinite or NaN, or its checkpoint negative. Every attempt
+     at infinite work fails, so that run livelocks; NaN work makes a NaN
+     query. The walk stops at all three, and a run that ends there ends
+     after the walk has counted the checkpoints before it. *)
+  for case = 0 to 11 do
+    let rng = Rng.substream (Rng.create ~seed:2026L) (Printf.sprintf "unvalidated-%d" case) in
+    let segments, downtime = long_plan rng in
+    let rate = rate_for ~failures:(Rng.float_range rng 0.01 2.0) segments in
+    let seed = Rng.int64 rng in
+    let at = Rng.int rng (List.length segments) in
+    let what, change =
+      match case mod 3 with
+      | 0 -> ("infinite work", fun (s : Sim_run.segment) -> { s with work = Float.infinity })
+      | 1 -> ("NaN work", fun s -> { s with work = Float.nan })
+      | _ -> ("negative checkpoint", fun s -> { s with checkpoint = -1.0 -. s.checkpoint })
+    in
+    let segments = List.mapi (fun i s -> if i = at then change s else s) segments in
+    let max_failures = case mod 4 mod 3 in
+    let make_stream () = Failure_stream.poisson ~rate (Rng.create ~seed) in
+    let name = Printf.sprintf "%s at segment %d of %d" what at (List.length segments) in
+    check_against_oracle ~max_failures name ~downtime ~make_stream segments;
+    if case mod 3 = 0 then
+      match
+        fst
+          (observed (fun () ->
+               Sim_run.run_plan ~max_failures ~downtime (make_stream ())
+                 (Sim_run.compile segments)))
+      with
+      | Livelocked _ -> ()
+      | outcome -> Alcotest.failf "%s: expected a Livelock, got %s" name (describe outcome)
   done
 
 let test_run_plan_nan_rejected () =
@@ -734,12 +847,128 @@ let test_run_plan_allocation_flat () =
     (Printf.sprintf "%.0f minor words at 10 segments, %.0f at 10,000" w10 w10k)
     true (Float.equal w10 w10k)
 
+(* --- One campaign pinned to history ---------------------------------- *)
+
+(* The oracle tests compare the two executors with each other, so a
+   change that reorders the arithmetic of both, or of Failure_stream or
+   Welford, passes them unnoticed. This campaign cannot: the every-task
+   and every-8th-task plans of a seeded 100-task chain, 4,096 Poisson
+   runs each (about two failures per run), recorded before run_plan
+   walked failure-free segments in an inner loop. A change to these
+   values is a change of results and must be explained, not
+   re-recorded. *)
+let history_lambda = 1.5e-3
+let history_downtime = 5.0
+
+let history_segments k =
+  let rng = Rng.substream (Rng.create ~seed:1912L) "history" in
+  let tasks =
+    List.init 100 (fun id ->
+        let work = Rng.float_range rng 5.0 15.0 in
+        let checkpoint_cost = Rng.float_range rng 1.0 5.0 in
+        let recovery_cost = Rng.float_range rng 1.0 5.0 in
+        Task.make ~id ~work ~checkpoint_cost ~recovery_cost ())
+  in
+  let problem =
+    Ckpt_core.Chain_problem.make ~downtime:history_downtime ~initial_recovery:3.0
+      ~lambda:history_lambda tasks
+  in
+  Ckpt_core.Schedule.to_sim_segments (Ckpt_core.Schedule.every_k problem k)
+
+let history =
+  [
+    ( 1,
+      "mean 0x1.42c6560effdb4p+10, stddev 0x1.52fe087754bb1p+4, min 0x1.3bbd029fcb646p+10, \
+       max 0x1.5a51621fa7d46p+10",
+      [
+        ("sim.checkpoints", "409600");
+        ("sim.failures", "7969");
+        ("sim.failures_per_run", "623,1111,1072,1233,57,0,0,0,0 / 0x1.f21p+12 / 4096");
+        ("sim.lost_time", "0x1.9c9860897ec4dp+15");
+        ("sim.lost_work", "0x1.84e4cac287148p+15");
+      ] );
+    ( 8,
+      "mean 0x1.0e44cedd27e14p+10, stddev 0x1.10c8a9c878098p+6, min 0x1.f74012d7668f8p+9, \
+       max 0x1.6dc4d3b91e20fp+10",
+      [
+        ("sim.checkpoints", "53248");
+        ("sim.failures", "6621");
+        ("sim.failures_per_run", "892,1275,1014,873,42,0,0,0,0 / 0x1.9ddp+12 / 4096");
+        ("sim.lost_time", "0x1.f1cb7e1293f44p+17");
+        ("sim.lost_work", "0x1.f10829c1ab7a4p+17");
+      ] );
+  ]
+
+let test_campaign_pinned () =
+  List.iter
+    (fun (k, expected_estimate, expected_rows) ->
+      let segments = history_segments k in
+      List.iter
+        (fun domains ->
+          let collector = Metrics.create_collector () in
+          let e =
+            Metrics.with_collector collector (fun () ->
+                Monte_carlo.estimate_segments ~domains
+                  ~model:(Monte_carlo.Poisson_rate history_lambda) ~downtime:history_downtime
+                  ~runs:4096 ~rng:(Rng.create ~seed:(Int64.of_int k)) segments)
+          in
+          let name = Printf.sprintf "every-%d on %d domains" k domains in
+          let estimate =
+            Printf.sprintf "mean %h, stddev %h, min %h, max %h" e.Monte_carlo.mean
+              e.Monte_carlo.stddev e.Monte_carlo.min e.Monte_carlo.max
+          in
+          Alcotest.(check string) (name ^ ": estimate") expected_estimate estimate;
+          Alcotest.(check (list (pair string string)))
+            (name ^ ": sim.* rows") expected_rows (sim_rows collector))
+        [ 1; 3 ])
+    history
+
+(* --- ckpt-sim on bad input --------------------------------------------- *)
+
+(* The ckpt-sim binary, a dependency of this test: found from the test
+   directory of the build tree. *)
+let ckpt_sim_exe = Filename.concat (Filename.concat Filename.parent_dir_name "bin") "ckpt_sim.exe"
+
+let test_ckpt_sim_bad_input () =
+  (* Each of these used to end in an uncaught exception (exit 125), or
+     for exp:0 in a Livelock after 10^7 failures. Now: exit 2, one line
+     on stderr, nothing on stdout. *)
+  if not (Sys.file_exists ckpt_sim_exe) then Alcotest.skip ();
+  let out = Filename.temp_file "ckpt_sim" ".out" and err = Filename.temp_file "ckpt_sim" ".err" in
+  Fun.protect
+    ~finally:(fun () -> List.iter Sys.remove [ out; err ])
+    (fun () ->
+      List.iter
+        (fun args ->
+          let code =
+            Sys.command
+              (Printf.sprintf "%s %s > %s 2> %s" (Filename.quote ckpt_sim_exe) args
+                 (Filename.quote out) (Filename.quote err))
+          in
+          let read path = In_channel.with_open_bin path In_channel.input_all in
+          Alcotest.(check int) (args ^ ": exit 2") 2 code;
+          Alcotest.(check string) (args ^ ": nothing on stdout") "" (read out);
+          let message = read err in
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: one line on stderr, %S" args message)
+            true
+            (String.length message > 1
+            && String.index message '\n' = String.length message - 1))
+        [ "--runs 0"; "--domains 0"; "-p 0"; "--target-ci 0"; "--checkpoint nan"; "--work=-1";
+          "--recovery=-2"; "--downtime nan"; "--law exp:0"; "--law weibull:nan:1000";
+          "--law lognormal:nan:1000"; "--law gamma:2:inf"; "--law uniform:0:inf" ])
+
 let suite =
   [
     Alcotest.test_case "failure-free run" `Quick test_no_failure;
     Alcotest.test_case "compiled executor = oracle" `Quick test_run_plan_matches_oracle;
     Alcotest.test_case "compiled executor rejects NaN" `Quick test_run_plan_nan_rejected;
     Alcotest.test_case "compiled executor allocation" `Quick test_run_plan_allocation_flat;
+    Alcotest.test_case "compiled executor = oracle (long plans)" `Quick
+      test_run_plan_long_plans;
+    Alcotest.test_case "compiled executor = oracle (unvalidated segment)" `Quick
+      test_run_plan_unvalidated_segment;
+    Alcotest.test_case "campaign pinned to history" `Quick test_campaign_pinned;
     Alcotest.test_case "lost-work/lost-time split (segments)" `Quick
       test_lost_accounting_segments;
     Alcotest.test_case "lost-work/lost-time split (chain)" `Quick
@@ -773,4 +1002,5 @@ let suite =
       test_parallel_monte_carlo_agrees;
     Alcotest.test_case "Monte-Carlo reproducibility" `Quick test_monte_carlo_reproducible;
     Alcotest.test_case "trace-driven run" `Quick test_run_on_trace;
+    Alcotest.test_case "ckpt-sim rejects bad input" `Quick test_ckpt_sim_bad_input;
   ]
