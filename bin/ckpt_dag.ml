@@ -10,6 +10,14 @@ module Dag_sched = Ckpt_core.Dag_sched
 module Schedule = Ckpt_core.Schedule
 
 let run spec_path lambda downtime exact dot =
+  let usage_error msg x =
+    Printf.eprintf "ckpt-dag: %s (got %g)\n" msg x;
+    exit 2
+  in
+  if not (lambda > 0.0 && Float.is_finite lambda) then
+    usage_error "--lambda must be positive and finite" lambda;
+  if not (downtime >= 0.0 && Float.is_finite downtime) then
+    usage_error "--downtime must be finite and non-negative" downtime;
   let dag =
     try Dag_spec.parse_file spec_path
     with Dag_spec.Parse_error msg ->

@@ -1,9 +1,22 @@
-(* CLI runner for the E1-E10 reproduction experiments. *)
+(* CLI runner for the E1-E18 reproduction experiments. *)
 
 open Cmdliner
 module Obs_cli = Ckpt_obs_cli.Obs_cli
 
+let usage_error fmt =
+  Printf.ksprintf
+    (fun msg ->
+      prerr_endline ("ckpt-experiments: " ^ msg);
+      exit 2)
+    fmt
+
 let run_experiments ids seed quick domains target_ci obs_flush =
+  (match domains with
+  | Some d when d <= 0 -> usage_error "--domains must be positive (got %d)" d
+  | _ -> ());
+  (match target_ci with
+  | Some x when not (x > 0.0) -> usage_error "--target-ci must be positive (got %g)" x
+  | _ -> ());
   let config =
     { Ckpt_experiments.Common.seed = Int64.of_int seed; quick; domains; target_ci }
   in
@@ -16,15 +29,14 @@ let run_experiments ids seed quick domains target_ci obs_flush =
             match Ckpt_experiments.Registry.find id with
             | Some e -> e
             | None ->
-                Printf.eprintf "unknown experiment %S (use E1..E17)\n" id;
-                exit 2)
+                usage_error "unknown experiment %S (use E1..E18)" id)
           ids
   in
   List.iter (Ckpt_experiments.Registry.run_and_print config) experiments;
   obs_flush ()
 
 let ids =
-  let doc = "Experiments to run (E1..E17). Runs all when omitted." in
+  let doc = "Experiments to run (E1..E18). Runs all when omitted." in
   Arg.(value & pos_all string [] & info [] ~docv:"ID" ~doc)
 
 let seed =

@@ -50,13 +50,22 @@ let report_cmd =
 let run_diff base cand max_change config all =
   let max_change =
     match (max_change, config) with
-    | Some m, _ -> m
-    | None, Some path -> (Ckpt_bench.Bench_config.load path).Ckpt_bench.Bench_config.max_regression
+    | Some m, _ ->
+        if not (m >= 0.0) then begin
+          Printf.eprintf "ckpt-obs: --max-change must be non-negative (got %g)\n" m;
+          exit 2
+        end;
+        m
+    | None, Some path -> (
+        try (Ckpt_bench.Bench_config.load path).Ckpt_bench.Bench_config.max_regression
+        with Failure msg | Sys_error msg ->
+          Printf.eprintf "ckpt-obs: %s\n" msg;
+          exit 2)
     | None, None -> Snapshot_diff.default_max_change
   in
   let load path =
     try Snapshot_diff.load path with
-    | Ckpt_bench.Json.Parse_error msg ->
+    | Ckpt_json.Json.Parse_error msg ->
         Printf.eprintf "ckpt-obs: %s: %s\n" path msg;
         exit 2
     | Sys_error msg ->

@@ -124,6 +124,10 @@ let simulation_section problem solution runs seed =
   print_string (Ckpt_sim.Timeline.render events)
 
 let run spec_path lambda_override runs seed =
+  if runs <= 0 then begin
+    Printf.eprintf "ckpt-report: --runs must be positive (got %d)\n" runs;
+    exit 2
+  end;
   let problem =
     try Chain_spec.parse_file_with_lambda ?lambda:lambda_override spec_path
     with Chain_spec.Parse_error msg ->

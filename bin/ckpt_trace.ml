@@ -14,7 +14,12 @@ let parse_law spec =
 let generate law_spec nodes horizon heterogeneity seed output =
   let law = parse_law law_spec in
   let rng = Ckpt_prng.Rng.create ~seed:(Int64.of_int seed) in
-  let log = Cluster_log.generate ~heterogeneity ~law ~nodes ~horizon rng in
+  let log =
+    try Cluster_log.generate ~heterogeneity ~law ~nodes ~horizon rng
+    with Invalid_argument msg ->
+      prerr_endline ("ckpt-trace: " ^ msg);
+      exit 2
+  in
   Cluster_log.save log output;
   Printf.printf "wrote %s: %d nodes, %d failures over horizon %g\n" output
     (Cluster_log.node_count log) (Cluster_log.failure_count log) horizon

@@ -37,28 +37,12 @@ let to_text d =
     (severity_to_string d.severity)
     d.rule d.message
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let to_json d =
   Printf.sprintf
     "{\"file\":\"%s\",\"line\":%d,\"col\":%d,\"severity\":\"%s\",\"rule\":\"%s\",\"message\":\"%s\"}"
-    (json_escape d.file) d.line d.col
+    (Ckpt_json.Json.escape d.file) d.line d.col
     (severity_to_string d.severity)
-    (json_escape d.rule) (json_escape d.message)
+    (Ckpt_json.Json.escape d.rule) (Ckpt_json.Json.escape d.message)
 
 let count ds =
   List.fold_left

@@ -24,30 +24,38 @@ let chain_problem n =
   let dag = Generate.chain rng spec ~n in
   Chain_problem.of_dag ~downtime:0.2 ~lambda:(10.0 /. float_of_int n) dag
 
-(* The Part-3 scaling workload: fixed seed, so the estimate is
-   bit-identical for any domain count (the property bench/main.exe
-   asserts) and runs differ only in wall time. *)
-let mc_scaling_runs ~quick = if quick then 10_000 else 100_000
-
-let mc_scaling_estimate ~quick ~domains =
+(* The mc-pool workload: fixed seed, so the estimate is bit-identical
+   for any domain count and the mc-pool-d* cases differ only in wall
+   time. *)
+let mc_pool_estimate ~quick ~domains =
   let rng = Rng.create ~seed:20_260_806L in
   let segments = [ Sim_run.segment ~work:100.0 ~checkpoint:5.0 ~recovery:5.0 ] in
   Monte_carlo.estimate_segments ~domains ~model:(Monte_carlo.Poisson_rate 0.01)
-    ~downtime:1.0 ~runs:(mc_scaling_runs ~quick) ~rng segments
+    ~downtime:1.0 ~runs:(if quick then 10_000 else 100_000) ~rng segments
 
+let estimate_fields (e : Monte_carlo.estimate) =
+  let lo, hi = e.ci99 in
+  [
+    ("mean", e.mean); ("stddev", e.stddev); ("std_error", e.std_error);
+    ("runs", float_of_int e.runs); ("ci99 low", lo); ("ci99 high", hi); ("min", e.min);
+    ("max", e.max);
+  ]
+
+(* The mc-pool domain counts plus 3, whose batch grid splits unevenly. *)
 let assert_mc_deterministic () =
-  let estimate domains =
-    let rng = Rng.create ~seed:77_001L in
-    let segments = [ Sim_run.segment ~work:50.0 ~checkpoint:2.0 ~recovery:2.0 ] in
-    (Monte_carlo.estimate_segments ~domains ~model:(Monte_carlo.Poisson_rate 0.02)
-       ~downtime:0.5 ~runs:2_000 ~rng segments)
-      .Monte_carlo.mean
-  in
-  let d1 = estimate 1 and d3 = estimate 3 in
-  if not (Float.equal d1 d3) then
-    failwith
-      (Printf.sprintf
-         "Monte-Carlo determinism violated: mean %.17g at 1 domain, %.17g at 3" d1 d3)
+  let fields domains = estimate_fields (mc_pool_estimate ~quick:true ~domains) in
+  let reference = fields 1 in
+  List.iter
+    (fun domains ->
+      List.iter2
+        (fun (field, at_1) (_, at_d) ->
+          if not (Float.equal at_1 at_d) then
+            failwith
+              (Printf.sprintf
+                 "Monte-Carlo determinism violated: %s %.17g at 1 domain, %.17g at %d" field
+                 at_1 at_d domains))
+        reference (fields domains))
+    [ 2; 3; 4; 8 ]
 
 (* The serve benches run a real loopback socket round-trip: server
    started and drained inside the timed call, so every invocation also
@@ -376,7 +384,7 @@ let all ~quick =
         macro ~repeats:6
           (Printf.sprintf "mc-pool-d%d" domains)
           [ "mc"; "scaling" ]
-          (fun () -> ignore (mc_scaling_estimate ~quick ~domains)))
+          (fun () -> ignore (mc_pool_estimate ~quick ~domains)))
       [ 1; 2; 4; 8 ]
   in
   (* The serving layer end to end (socket, framing, queue, worker pool,
@@ -398,7 +406,7 @@ let all ~quick =
       macro ~repeats:6 "serve-p99" [ "serve" ] (fun () ->
           let latencies_ms =
             Array.make (distinct * rounds) 0.0
-            [@lint.domain_safe "single-domain: filled and read by the bench driver only"]
+            [@lint.domain_safe "single-domain: filled and read by this case only"]
           in
           serve_round_trip ~requests:(distinct * rounds) (fun client r ->
               let elapsed_s, () =

@@ -1,7 +1,6 @@
-(** The named, tagged benchmark cases behind both the human bench
-    driver ([bench/main.exe]) and the machine-readable [ckpt-bench]
-    CLI. Every case is deterministic given its fixed seed; only its
-    timing varies.
+(** The named, tagged benchmark cases that [ckpt-bench] runs. Every
+    case is deterministic given its fixed seed; only its timing
+    varies.
 
     Tags (used by [ckpt-bench run --tag]): [kernel] (closed forms and
     other micro-kernels), [dp] (chain/partition dynamic programs), [dc]
@@ -28,13 +27,10 @@ val all : quick:bool -> case list
     the Monte-Carlo run counts), not just the sample counts, so it is
     safe on 2-core CI runners. *)
 
-val mc_scaling_estimate : quick:bool -> domains:int -> Ckpt_sim.Monte_carlo.estimate
-(** The Part-3 domain-scaling workload (fixed seed). Exposed separately
-    so the bench driver can print the speedup table and assert the
-    bit-identical-estimates guarantee across domain counts. *)
-
 val assert_mc_deterministic : unit -> unit
-(** Cheap cross-domain determinism check (1 vs 3 domains, small run
-    count); raises [Failure] if the estimates differ. Run by
-    [ckpt-bench run] so a determinism break can never hide behind a
-    green timing gate. *)
+(** Runs the mc-pool workload (10,000 runs) at 1, 2, 3, 4 and 8
+    domains and compares every {!Ckpt_sim.Monte_carlo.estimate} field
+    with the 1-domain run; raises [Failure] naming the field and the
+    domain count on the first difference. Run by [ckpt-bench run] and
+    [check] after the cases, so a determinism break can never hide
+    behind a green timing gate. *)

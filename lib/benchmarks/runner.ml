@@ -1,4 +1,5 @@
 module Clock = Ckpt_obs.Clock
+module Json = Ckpt_json.Json
 module Welford = Ckpt_stats.Welford
 
 (* Reduce timing samples (seconds) to the schema's per-case stats. *)

@@ -9,8 +9,6 @@
     yields mean / sample stddev / normal 99% CI — the inputs the
     noise-aware comparator needs — plus its total wall time. *)
 
-val run_case : quick:bool -> Cases.case -> Schema.case_result
-
 val run :
   ?filter:(Cases.case -> bool) ->
   ?on_case:(string -> Schema.case_result -> unit) ->

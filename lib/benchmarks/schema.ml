@@ -1,3 +1,5 @@
+module Json = Ckpt_json.Json
+
 let version = 1
 
 type case_result = {

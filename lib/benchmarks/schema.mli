@@ -48,7 +48,8 @@ type meta = {
 type run = {
   meta : meta;
   cases : case_result list;
-  metrics : Json.t;  (** Embedded snapshot; [Json.Obj] with [metrics]/[timings]. *)
+  metrics : Ckpt_json.Json.t;
+      (** Embedded snapshot; [Ckpt_json.Json.Obj] with [metrics]/[timings]. *)
 }
 
 val make_meta : mode:mode -> meta
@@ -56,8 +57,8 @@ val make_meta : mode:mode -> meta
     or an enclosing directory, else ["unknown"]), [ocaml_version] and
     [domains] from the running process. *)
 
-val to_json : run -> Json.t
-val of_json : Json.t -> (run, string) result
+val to_json : run -> Ckpt_json.Json.t
+val of_json : Ckpt_json.Json.t -> (run, string) result
 (** Strict: missing fields, wrong shapes, or a newer [schema_version]
     are errors; unknown extra fields are ignored for forward
     compatibility of readers. *)

@@ -1,19 +1,22 @@
 (* Diff of two metrics snapshots (the `ckpt-obs diff` engine).
 
    Inputs are JSON files carrying a Metrics snapshot: either a bare
-   `--metrics json` object ({"metrics":{...},"timings":{...}}), the
-   combined object the bench smoke emits ({"bench":{...},"metrics":...}),
-   or a full BENCH_<n>.json whose snapshot sits under the top-level
-   "metrics" key. Wherever it sits, the snapshot is the pair of
-   "metrics" (Engine) and "timings" (Timing) sub-objects.
+   `--metrics json` object ({"metrics":{...},"timings":{...}}), one
+   that sits beside other top-level keys, or a full BENCH_<n>.json
+   whose snapshot sits under the top-level "metrics" key. Wherever it
+   sits, the snapshot is the pair of "metrics" (Engine) and "timings"
+   (Timing) sub-objects.
 
    Gating mirrors ckpt-bench diff's noise-aware rule, degenerated to
    what a snapshot carries: a snapshot has no per-sample stddev, so the
    pooled-stderr term of `max(max_regression*|base|, sigma*stderr)`
    vanishes and the effective threshold is `max_regression * |base|`.
    Engine rows beyond the threshold are Drift (gate-failing), as are
-   Engine rows that disappeared; new rows and everything in the Timing
-   section are informational — timings vary run to run by design. *)
+   Engine numbers that turned null or non-numeric and Engine rows that
+   disappeared; new rows and everything in the Timing section are
+   informational — timings vary run to run by design. *)
+
+module Json = Ckpt_json.Json
 
 type verdict = Match | Drift | Removed | Added | Info
 
@@ -128,9 +131,11 @@ let diff_section ~section ~max_change base cand =
                     (if not gate then Info else if within then Match else Drift);
                 }
             | b, c ->
-                (* Null gauges and mixed shapes: nothing numeric to
-                   gate on either side. *)
-                { name; section; base = b; cand = c; delta_rel = None; verdict = Info }))
+                (* An Engine number that turned null or non-numeric is
+                   a gauge whose code stopped running: Drift. Null on
+                   the baseline side has nothing to gate. *)
+                let verdict = if gate && Option.is_some b then Drift else Info in
+                { name; section; base = b; cand = c; delta_rel = None; verdict }))
       base
   in
   let added =

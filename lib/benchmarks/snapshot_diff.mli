@@ -2,15 +2,15 @@
     [ckpt-obs diff].
 
     Accepts any JSON file carrying a snapshot: bare [--metrics json]
-    output, the bench smoke's combined object, or a full
+    output, the same beside other top-level keys, or a full
     [BENCH_<n>.json] (snapshot under the top-level [metrics] key).
 
     Gating mirrors [ckpt-bench diff]'s noise-aware rule restricted to
     what a snapshot carries: with no per-sample stddev the pooled-noise
     term vanishes, so an Engine row fails when it moves by more than
-    [max_change * |base|] (or disappears). Timing rows and new rows are
-    informational. Histograms compare by observation count; never-set
-    gauges are non-numeric and never gate. *)
+    [max_change * |base|], turns null or non-numeric, or disappears.
+    Timing rows and new rows are informational. Histograms compare by
+    observation count; a gauge never set in the baseline never gates. *)
 
 type verdict = Match | Drift | Removed | Added | Info
 
@@ -37,12 +37,12 @@ val ok : report -> bool
 (** True iff no engine drift and no removed engine metrics. *)
 
 type snapshot_doc = {
-  engine : (string * Json.t) list;
-  timing : (string * Json.t) list;
+  engine : (string * Ckpt_json.Json.t) list;
+  timing : (string * Ckpt_json.Json.t) list;
 }
 
 val load : string -> snapshot_doc
-(** Raises {!Json.Parse_error} on malformed JSON or a file with no
+(** Raises {!Ckpt_json.Json.Parse_error} on malformed JSON or a file with no
     snapshot, [Sys_error] on unreadable paths. *)
 
 val default_max_change : float

@@ -11,10 +11,13 @@ type t = {
 
 let build ~downtime ~initial_recovery ~lambda tasks =
   if Array.length tasks = 0 then invalid_arg "Chain_problem: empty chain";
-  if not (lambda > 0.0) then invalid_arg "Chain_problem: lambda must be positive";
+  if not (lambda > 0.0 && Float.is_finite lambda) then
+    invalid_arg "Chain_problem: lambda must be positive and finite";
   if not (downtime >= 0.0) then invalid_arg "Chain_problem: downtime must be non-negative";
   if not (initial_recovery >= 0.0) then
     invalid_arg "Chain_problem: initial_recovery must be non-negative";
+  if not (Float.is_finite downtime && Float.is_finite initial_recovery) then
+    invalid_arg "Chain_problem: downtime and initial_recovery must be finite";
   let n = Array.length tasks in
   let prefix_work = Array.make (n + 1) 0.0 in
   for i = 0 to n - 1 do

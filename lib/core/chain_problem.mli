@@ -6,9 +6,9 @@
 
 type t = private {
   tasks : Ckpt_dag.Task.t array;  (** In chain order; ids 0 .. n-1. *)
-  lambda : float;  (** λ > 0. *)
-  downtime : float;  (** D >= 0. *)
-  initial_recovery : float;  (** R0 >= 0. *)
+  lambda : float;  (** 0 < λ < ∞. *)
+  downtime : float;  (** 0 <= D < ∞. *)
+  initial_recovery : float;  (** 0 <= R0 < ∞. *)
   prefix_work : float array;
       (** [prefix_work.(i)] = w_0 + ... + w_(i-1); length n+1. *)
   kernel : Segment_cost.t;
@@ -19,7 +19,8 @@ type t = private {
 val make :
   ?downtime:float -> ?initial_recovery:float -> lambda:float -> Ckpt_dag.Task.t list -> t
 (** Tasks are re-indexed 0..n-1 in list order. The chain must be
-    non-empty. [downtime] and [initial_recovery] default to 0. *)
+    non-empty and λ, D and R0 finite (else [Invalid_argument]).
+    [downtime] and [initial_recovery] default to 0. *)
 
 val of_dag :
   ?downtime:float -> ?initial_recovery:float -> lambda:float -> Ckpt_dag.Dag.t -> t

@@ -1,14 +1,13 @@
-(** Registry of all experiments, used by the CLI runner and the bench
-    harness. *)
+(** Registry of all experiments, run by [ckpt-experiments]. *)
 
 type experiment = {
-  id : string;  (** "E1" .. "E12". *)
+  id : string;  (** "E1" .. "E18". *)
   claim : string;
   run : Common.config -> Common.output list;
 }
 
 val all : experiment list
-(** In order E1 .. E12. *)
+(** In order E1 .. E18. *)
 
 val find : string -> experiment option
 (** Case-insensitive lookup by id. *)

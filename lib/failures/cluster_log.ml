@@ -7,8 +7,9 @@ type t = { nodes : node array; horizon : float; description : string }
 
 let generate ?(heterogeneity = 0.0) ~law ~nodes ~horizon rng =
   if nodes <= 0 then invalid_arg "Cluster_log.generate: nodes must be positive";
-  if horizon <= 0.0 then invalid_arg "Cluster_log.generate: horizon must be positive";
-  if heterogeneity < 0.0 || heterogeneity >= 1.0 then
+  if not (horizon > 0.0 && Float.is_finite horizon) then
+    invalid_arg "Cluster_log.generate: horizon must be positive and finite";
+  if not (heterogeneity >= 0.0 && heterogeneity < 1.0) then
     invalid_arg "Cluster_log.generate: heterogeneity must lie in [0,1)";
   let make_node node_id =
     let node_rng = Rng.substream rng (Printf.sprintf "node-%d" node_id) in
@@ -87,6 +88,8 @@ let load path =
         | _ -> fail "missing field %s" name
       in
       let horizon = float_of_string (field "horizon") in
+      if not (horizon > 0.0 && Float.is_finite horizon) then
+        fail "horizon must be positive and finite";
       let description = field "description" in
       let n = int_of_string (field "nodes") in
       let nodes =

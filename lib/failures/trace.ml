@@ -7,7 +7,8 @@ type t = {
 }
 
 let generate ?rejuvenation ~platform ~horizon rng =
-  if horizon <= 0.0 then invalid_arg "Trace.generate: horizon must be positive";
+  if not (horizon > 0.0 && Float.is_finite horizon) then
+    invalid_arg "Trace.generate: horizon must be positive and finite";
   let stream = Failure_stream.of_platform ?rejuvenation platform rng in
   let rec collect acc time =
     let next = Failure_stream.next_after stream time in
@@ -23,10 +24,11 @@ let generate ?rejuvenation ~platform ~horizon rng =
   }
 
 let of_times ?(processors = 1) ?(law = "imported") ?(seed = 0L) ~horizon times =
-  if horizon <= 0.0 then invalid_arg "Trace.of_times: horizon must be positive";
+  if not (horizon > 0.0 && Float.is_finite horizon) then
+    invalid_arg "Trace.of_times: horizon must be positive and finite";
   let n = Array.length times in
   for i = 0 to n - 1 do
-    if times.(i) < 0.0 || times.(i) > horizon then
+    if not (times.(i) >= 0.0 && times.(i) <= horizon) then
       invalid_arg "Trace.of_times: time out of [0, horizon]";
     if i > 0 && times.(i) < times.(i - 1) then invalid_arg "Trace.of_times: unsorted times"
   done;

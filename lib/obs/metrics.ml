@@ -398,21 +398,6 @@ let render_table snapshot =
 
 (* --- JSON ----------------------------------------------------------- *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let json_float x =
   if not (Float.is_finite x) then "null"
   else if Float.is_integer x && Float.abs x < 1e15 then Printf.sprintf "%.0f" x
@@ -434,7 +419,7 @@ let json_object rows =
   ^ String.concat ","
       (List.map
          (fun (name, _, value) ->
-           Printf.sprintf "\"%s\":%s" (json_escape name) (json_of_value value))
+           Printf.sprintf "\"%s\":%s" (Ckpt_json.Json.escape name) (json_of_value value))
          rows)
   ^ "}"
 

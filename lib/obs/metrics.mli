@@ -146,6 +146,3 @@ val to_json_fields : snapshot -> string
 val to_json : snapshot -> string
 (** [to_json_fields] wrapped in braces: an object with the [metrics]
     and [timings] sub-objects. *)
-
-val json_escape : string -> string
-(** JSON string-content escaping, shared with the span exporters. *)

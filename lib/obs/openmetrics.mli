@@ -9,7 +9,7 @@
     [# EOF] terminator.
 
     Wired as [--metrics openmetrics] on ckpt-sim / ckpt-chain /
-    ckpt-experiments and the bench harness. *)
+    ckpt-experiments / ckpt-serve. *)
 
 val metric_name : string -> string
 (** The sanitized, [ckpt_]-prefixed exposition name of a registry

@@ -165,7 +165,7 @@ let json_args args =
   ^ String.concat ","
       (List.map
          (fun (k, v) ->
-           Printf.sprintf "\"%s\":\"%s\"" (Metrics.json_escape k) (Metrics.json_escape v))
+           Printf.sprintf "\"%s\":\"%s\"" (Ckpt_json.Json.escape k) (Ckpt_json.Json.escape v))
          args)
   ^ "}"
 
@@ -176,7 +176,7 @@ let to_jsonl records =
       Buffer.add_string buf
         (Printf.sprintf
            "{\"name\":\"%s\",\"kind\":\"%s\",\"start_ns\":%Ld,\"dur_ns\":%Ld,\"tid\":%d,\"depth\":%d,\"args\":%s}\n"
-           (Metrics.json_escape r.name)
+           (Ckpt_json.Json.escape r.name)
            (match r.span_kind with Complete -> "span" | Instant -> "instant")
            r.start_ns r.dur_ns r.tid r.depth (json_args r.args)))
     records;
@@ -194,11 +194,11 @@ let to_chrome records =
     | Complete ->
         Printf.sprintf
           "{\"name\":\"%s\",\"cat\":\"ckpt\",\"ph\":\"X\",\"pid\":0,\"tid\":%d,\"ts\":%s,\"dur\":%s,\"args\":%s}"
-          (Metrics.json_escape r.name) r.tid ts (us r.dur_ns) (json_args r.args)
+          (Ckpt_json.Json.escape r.name) r.tid ts (us r.dur_ns) (json_args r.args)
     | Instant ->
         Printf.sprintf
           "{\"name\":\"%s\",\"cat\":\"ckpt\",\"ph\":\"i\",\"s\":\"t\",\"pid\":0,\"tid\":%d,\"ts\":%s,\"args\":%s}"
-          (Metrics.json_escape r.name) r.tid ts (json_args r.args)
+          (Ckpt_json.Json.escape r.name) r.tid ts (json_args r.args)
   in
   "{\"displayTimeUnit\":\"ms\",\"traceEvents\":["
   ^ String.concat "," (List.map event records)

@@ -3,7 +3,7 @@
    baselines, bench.toml accept/reject (unknown keys are hard errors),
    and the typed required-keys validation that replaced CI's grep. *)
 
-module Json = Ckpt_bench.Json
+module Json = Ckpt_json.Json
 module Schema = Ckpt_bench.Schema
 module Bench_config = Ckpt_bench.Bench_config
 module Compare = Ckpt_bench.Compare
@@ -64,7 +64,7 @@ let test_json_rejects () =
     (Error "line 1, column 11: duplicate object key \"a\"")
     (Result.map ignore (Json.parse_result "{\"a\":1,\"a\":2}"))
 
-let test_json_escape_parsing () =
+let test_escape_decoding () =
   List.iter
     (fun (text, decoded) ->
       match Json.parse text with
@@ -356,12 +356,11 @@ let test_snapshot_diff_file_shapes () =
   (* Bare --metrics json snapshot. *)
   let bare = parse_doc {|{"metrics":{"mc.runs":1000},"timings":{"pool.wall_s":0.5}}|} in
   Alcotest.(check int) "bare: engine rows" 1 (List.length bare.Snapshot_diff.engine);
-  (* The bench smoke's combined object. *)
-  let smoke =
-    parse_doc
-      {|{"bench":{"smoke":true},"metrics":{"mc.runs":1000},"timings":{}}|}
+  (* A snapshot beside other top-level keys. *)
+  let combined =
+    parse_doc {|{"bench":{"quick":true},"metrics":{"mc.runs":1000},"timings":{}}|}
   in
-  Alcotest.(check int) "smoke: engine rows" 1 (List.length smoke.Snapshot_diff.engine);
+  Alcotest.(check int) "combined: engine rows" 1 (List.length combined.Snapshot_diff.engine);
   (* A full BENCH_<n>.json: snapshot nested under the top-level
      "metrics" key, recognizable because that object itself carries
      metrics/timings. *)
@@ -391,11 +390,12 @@ let test_snapshot_diff_gating () =
          "timings":{"wall":40.0}}|}
   in
   let r = Snapshot_diff.diff ~base cand in
-  let verdict name =
+  let verdict_in (r : Snapshot_diff.report) name =
     match List.find_opt (fun (row : Snapshot_diff.row) -> row.name = name) r.Snapshot_diff.rows with
     | Some row -> Snapshot_diff.verdict_to_string row.Snapshot_diff.verdict
     | None -> Alcotest.failf "no row for %s" name
   in
+  let verdict = verdict_in r in
   Alcotest.(check string) "+9% within the 10% band" "ok" (verdict "steady");
   Alcotest.(check string) "+20% drifts" "DRIFT" (verdict "drifty");
   Alcotest.(check string) "removed engine metric gates" "MISSING" (verdict "gone");
@@ -414,7 +414,20 @@ let test_snapshot_diff_gating () =
   let base0 = parse_doc {|{"metrics":{"zero":0},"timings":{}}|} in
   let cand0 = parse_doc {|{"metrics":{"zero":3},"timings":{}}|} in
   let r0 = Snapshot_diff.diff ~max_change:99.0 ~base:base0 cand0 in
-  Alcotest.(check int) "0 -> 3 drifts at any band" 1 r0.Snapshot_diff.drifted
+  Alcotest.(check int) "0 -> 3 drifts at any band" 1 r0.Snapshot_diff.drifted;
+  (* An Engine number that turns null is a gauge whose code stopped
+     running; a gauge null in the baseline, or a Timing row, never gates. *)
+  let base_null =
+    parse_doc {|{"metrics":{"mc.ci_rel_half_width":0.01,"unset":null},"timings":{"t":1.0}}|}
+  in
+  let cand_null =
+    parse_doc {|{"metrics":{"mc.ci_rel_half_width":null,"unset":4},"timings":{"t":null}}|}
+  in
+  let rn = Snapshot_diff.diff ~max_change:99.0 ~base:base_null cand_null in
+  Alcotest.(check string) "number -> null drifts" "DRIFT" (verdict_in rn "mc.ci_rel_half_width");
+  Alcotest.(check string) "null -> number is info" "info" (verdict_in rn "unset");
+  Alcotest.(check string) "timing number -> null is info" "info" (verdict_in rn "t");
+  Alcotest.(check bool) "number -> null fails the gate" false (Snapshot_diff.ok rn)
 
 let test_snapshot_diff_render () =
   let base = parse_doc {|{"metrics":{"a":1,"b":10},"timings":{}}|} in
@@ -452,7 +465,7 @@ let suite =
     Alcotest.test_case "json: round-trip" `Quick test_json_round_trip;
     Alcotest.test_case "json: number precision" `Quick test_json_number_precision;
     Alcotest.test_case "json: rejects malformed input" `Quick test_json_rejects;
-    Alcotest.test_case "json: escape decoding" `Quick test_json_escape_parsing;
+    Alcotest.test_case "json: escape decoding" `Quick test_escape_decoding;
     QCheck_alcotest.to_alcotest qcheck_json_round_trip;
     Alcotest.test_case "schema: round-trip" `Quick test_schema_round_trip;
     Alcotest.test_case "schema: rejects bad files" `Quick test_schema_rejects;

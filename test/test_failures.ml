@@ -214,7 +214,49 @@ let test_trace_save_load () =
 let test_trace_of_times_validation () =
   Alcotest.check_raises "out of horizon"
     (Invalid_argument "Trace.of_times: time out of [0, horizon]") (fun () ->
-      ignore (Trace.of_times ~horizon:10.0 [| 11.0 |]))
+      ignore (Trace.of_times ~horizon:10.0 [| 11.0 |]));
+  Alcotest.check_raises "NaN time"
+    (Invalid_argument "Trace.of_times: time out of [0, horizon]") (fun () ->
+      ignore (Trace.of_times ~horizon:10.0 [| 1.0; nan |]))
+
+(* The generators collect failures until one falls past the horizon, so
+   a NaN or infinite horizon must be rejected up front; so must a NaN
+   heterogeneity, which would reach an assertion in the PRNG. A loaded
+   log's horizon feeds Trace.of_times and is checked on load. *)
+let test_generators_reject_non_finite () =
+  let law = Law.exponential ~rate:0.002 in
+  let platform = Platform.exponential ~processors:2 ~proc_rate:0.01 () in
+  List.iter
+    (fun horizon ->
+      let name what = Printf.sprintf "%s, horizon %g" what horizon in
+      Alcotest.check_raises (name "Cluster_log.generate")
+        (Invalid_argument "Cluster_log.generate: horizon must be positive and finite")
+        (fun () -> ignore (Cluster_log.generate ~law ~nodes:2 ~horizon (Rng.create ~seed:1L)));
+      Alcotest.check_raises (name "Trace.generate")
+        (Invalid_argument "Trace.generate: horizon must be positive and finite") (fun () ->
+          ignore (Trace.generate ~platform ~horizon (Rng.create ~seed:1L)));
+      Alcotest.check_raises (name "Trace.of_times")
+        (Invalid_argument "Trace.of_times: horizon must be positive and finite") (fun () ->
+          ignore (Trace.of_times ~horizon [||])))
+    [ 0.0; -1.0; nan; infinity ];
+  List.iter
+    (fun heterogeneity ->
+      Alcotest.check_raises
+        (Printf.sprintf "heterogeneity %g" heterogeneity)
+        (Invalid_argument "Cluster_log.generate: heterogeneity must lie in [0,1)") (fun () ->
+          ignore
+            (Cluster_log.generate ~heterogeneity ~law ~nodes:2 ~horizon:100.0
+               (Rng.create ~seed:1L))))
+    [ nan; -0.1; 1.0; infinity ];
+  let path = Filename.temp_file "ckpt_log" ".txt" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Out_channel.with_open_bin path (fun oc ->
+          output_string oc "# ckpt-workflows cluster log v1\nhorizon nan\ndescription x\nnodes 0\n");
+      Alcotest.check_raises "loaded NaN horizon"
+        (Failure "Cluster_log.load: horizon must be positive and finite") (fun () ->
+          ignore (Cluster_log.load path)))
 
 let test_cluster_log () =
   let rng = Rng.create ~seed:115L in
@@ -547,6 +589,8 @@ let suite =
     Alcotest.test_case "trace generation stats" `Slow test_trace_generate_and_stats;
     Alcotest.test_case "trace save/load" `Quick test_trace_save_load;
     Alcotest.test_case "trace validation" `Quick test_trace_of_times_validation;
+    Alcotest.test_case "generators reject non-finite input" `Quick
+      test_generators_reject_non_finite;
     Alcotest.test_case "cluster log" `Quick test_cluster_log;
     Alcotest.test_case "cluster log save/load" `Quick test_cluster_log_save_load;
     Alcotest.test_case "rejuvenation modes equal for exponential" `Slow

@@ -923,18 +923,18 @@ let test_campaign_pinned () =
         [ 1; 3 ])
     history
 
-(* --- ckpt-sim on bad input --------------------------------------------- *)
+(* --- command-line tools on bad input ------------------------------------ *)
 
-(* The ckpt-sim binary, a dependency of this test: found from the test
-   directory of the build tree. *)
-let ckpt_sim_exe = Filename.concat (Filename.concat Filename.parent_dir_name "bin") "ckpt_sim.exe"
+(* A file of the build tree, found from its test directory: the bin/
+   executables are dependencies of this test, as are the example specs. *)
+let build_path dir file = Filename.concat (Filename.concat Filename.parent_dir_name dir) file
 
-let test_ckpt_sim_bad_input () =
-  (* Each of these used to end in an uncaught exception (exit 125), or
-     for exp:0 in a Livelock after 10^7 failures. Now: exit 2, one line
-     on stderr, nothing on stdout. *)
-  if not (Sys.file_exists ckpt_sim_exe) then Alcotest.skip ();
-  let out = Filename.temp_file "ckpt_sim" ".out" and err = Filename.temp_file "ckpt_sim" ".err" in
+(* Every [args] row must exit 2 with one line on stderr and nothing on
+   stdout. *)
+let rejects_bad_input exe rows =
+  let exe = build_path "bin" exe in
+  if not (Sys.file_exists exe) then Alcotest.skip ();
+  let out = Filename.temp_file "ckpt_cli" ".out" and err = Filename.temp_file "ckpt_cli" ".err" in
   Fun.protect
     ~finally:(fun () -> List.iter Sys.remove [ out; err ])
     (fun () ->
@@ -942,21 +942,63 @@ let test_ckpt_sim_bad_input () =
         (fun args ->
           let code =
             Sys.command
-              (Printf.sprintf "%s %s > %s 2> %s" (Filename.quote ckpt_sim_exe) args
+              (Printf.sprintf "%s %s > %s 2> %s" (Filename.quote exe) args
                  (Filename.quote out) (Filename.quote err))
           in
           let read path = In_channel.with_open_bin path In_channel.input_all in
-          Alcotest.(check int) (args ^ ": exit 2") 2 code;
-          Alcotest.(check string) (args ^ ": nothing on stdout") "" (read out);
+          let label = Filename.basename exe ^ " " ^ args in
+          Alcotest.(check int) (label ^ ": exit 2") 2 code;
+          Alcotest.(check string) (label ^ ": nothing on stdout") "" (read out);
           let message = read err in
           Alcotest.(check bool)
-            (Printf.sprintf "%s: one line on stderr, %S" args message)
+            (Printf.sprintf "%s: one line on stderr, %S" label message)
             true
             (String.length message > 1
             && String.index message '\n' = String.length message - 1))
-        [ "--runs 0"; "--domains 0"; "-p 0"; "--target-ci 0"; "--checkpoint nan"; "--work=-1";
-          "--recovery=-2"; "--downtime nan"; "--law exp:0"; "--law weibull:nan:1000";
-          "--law lognormal:nan:1000"; "--law gamma:2:inf"; "--law uniform:0:inf" ])
+        rows)
+
+let test_ckpt_sim_bad_input () =
+  (* Each of these used to end in an uncaught exception (exit 125), or
+     for exp:0 in a Livelock after 10^7 failures. *)
+  rejects_bad_input "ckpt_sim.exe"
+    [ "--runs 0"; "--domains 0"; "-p 0"; "--target-ci 0"; "--checkpoint nan"; "--work=-1";
+      "--recovery=-2"; "--downtime nan"; "--law exp:0"; "--law weibull:nan:1000";
+      "--law lognormal:nan:1000"; "--law gamma:2:inf"; "--law uniform:0:inf" ]
+
+let test_tools_bad_input () =
+  (* Each tool validates before it prints: no row may exit 125 on an
+     uncaught exception, leave part of a report on stdout, print an
+     infinite makespan for an infinite λ, or run out of memory on a
+     NaN or infinite horizon. *)
+  let chain = Filename.quote (build_path "examples" "specs/seismic.chain") in
+  let dag = Filename.quote (build_path "examples" "specs/diamond.dag") in
+  let snapshot = Filename.temp_file "ckpt_cli" ".json" in
+  let config = Filename.temp_file "ckpt_cli" ".toml" in
+  let log = Filename.temp_file "ckpt_cli" ".log" in
+  Fun.protect
+    ~finally:(fun () -> List.iter Sys.remove [ snapshot; config; log ])
+    (fun () ->
+      Out_channel.with_open_bin snapshot (fun oc ->
+          output_string oc {|{"metrics":{"mc.runs":1},"timings":{}}|});
+      Out_channel.with_open_bin config (fun oc -> output_string oc "max_regression = 0.1\n");
+      let log = Filename.quote log and snapshot = Filename.quote snapshot in
+      rejects_bad_input "ckpt_trace.exe"
+        (List.map
+           (fun flag -> Printf.sprintf "generate %s -o %s" flag log)
+           [ "--nodes 0"; "--horizon 0"; "--horizon nan"; "--horizon inf";
+             "--heterogeneity nan" ]);
+      rejects_bad_input "ckpt_dag.exe"
+        (List.map (fun flags -> dag ^ " " ^ flags)
+           [ "--lambda 0"; "--lambda nan"; "--lambda inf"; "--lambda 0.01 --downtime=-1" ]);
+      rejects_bad_input "ckpt_chain.exe" [ chain ^ " --lambda inf" ];
+      rejects_bad_input "ckpt_report.exe" [ chain ^ " -n 0"; chain ^ " --lambda inf" ];
+      rejects_bad_input "ckpt_experiments.exe"
+        [ "--quick --domains 0 E1"; "--quick --target-ci 0 E1"; "--quick --target-ci nan E1";
+          "E99" ];
+      rejects_bad_input "ckpt_obs_tool.exe"
+        (List.map
+           (fun flags -> Printf.sprintf "diff %s %s %s" snapshot snapshot flags)
+           [ "--max-change nan"; "--max-change=-1"; "--config " ^ Filename.quote config ]))
 
 let suite =
   [
@@ -1003,4 +1045,5 @@ let suite =
     Alcotest.test_case "Monte-Carlo reproducibility" `Quick test_monte_carlo_reproducible;
     Alcotest.test_case "trace-driven run" `Quick test_run_on_trace;
     Alcotest.test_case "ckpt-sim rejects bad input" `Quick test_ckpt_sim_bad_input;
+    Alcotest.test_case "command-line tools reject bad input" `Quick test_tools_bad_input;
   ]
