@@ -50,9 +50,10 @@ val plan : Chain_problem.t -> solution
 val solve_dc : Chain_problem.t -> solution
 (** Divide-and-conquer solver exploiting decision monotonicity: when
     the segment-cost matrix is inverse-Monge
-    ({!Segment_cost.supports_monotone_dc} — always for uniform-cost
-    chains, and whenever no checkpoint/recovery cost jumps by more than
-    a task weight), the optimal first-checkpoint index is monotone in
+    ({!Segment_cost.supports_monotone_dc} — whenever no checkpoint or
+    recovery cost, the initial recovery included, jumps by more than a
+    task weight; a chain of identical tasks qualifies only when
+    R − R0 ≤ w), the optimal first-checkpoint index is monotone in
     the suffix start, and the optimum is found in O(n log² n) transition
     evaluations instead of O(n²). Agrees with {!solve} on the expected
     makespan to float rounding (same kernel-backed costs, same

@@ -4,8 +4,8 @@
     No closed-form expectation exists, because the time elapsed since
     the last failure now matters. The policies below are decision
     functions for the policy-driven simulator
-    ({!Ckpt_sim.Sim_run.run_chain_policy}); the history-aware ones read
-    the processor age from the simulation context and adapt, in the
+    ({!Ckpt_sim.Sim_run.run_chain_policy_stats}); the history-aware ones
+    read the processor age from the simulation context and adapt, in the
     spirit of the greedy and dynamic-programming heuristics the paper
     points to (Bouguerra-Trystram-Wagner; Bougeret et al.). *)
 

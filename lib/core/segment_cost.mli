@@ -171,8 +171,12 @@ val supports_monotone_dc : t -> bool
     [E] non-decreasing the DP matrix is inverse-Monge and the optimal
     first-checkpoint index is monotone in the suffix start. Checked
     exactly on the raw durations (it reduces to
-    [R_x − R_(x−1) ≤ w_x] and [C_(j+1) − C_j ≥ −w_(j+1)] per index —
-    always true for uniform costs, violated only when a checkpoint or
-    recovery cost jumps by more than a task weight). Also [false] when
+    [R_x − R_(x−1) ≤ w_x] and [C_(j+1) − C_j ≥ −w_(j+1)] per index,
+    violated only when a checkpoint or recovery cost jumps by more than
+    a task weight). Row 0 compares the first task's recovery cost R
+    with the initial recovery R0, so a chain of identical tasks passes
+    only when R − R0 ≤ w: {!Chain_problem.make} defaults R0 to 0 and
+    fails such a chain whenever R > w, while {!Chain_problem.uniform}
+    defaults R0 to R. Also [false] when
     {!uses_tables} is [false]: in the overflow regime segment costs
     saturate to [infinity] and ties break the monotonicity argument. *)

@@ -23,7 +23,6 @@ let phase_equal a b =
 let make f = { next = f }
 let next t time = t.next time
 let to_fun t = t.next
-let of_fun f = make f
 let of_stream stream = make (Failure_stream.next_after stream)
 let never = make (fun (_ : float) -> infinity)
 

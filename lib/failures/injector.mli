@@ -34,10 +34,6 @@ val next : t -> float -> float
 val of_stream : Failure_stream.t -> t
 (** Wrap a base stream. *)
 
-val of_fun : (float -> float) -> t
-(** Wrap a raw query function (it must obey the strictly-later,
-    non-decreasing-queries contract). *)
-
 val to_fun : t -> float -> float
 (** The shape {!Ckpt_sim.Sim_run} expects as [next_failure]. *)
 

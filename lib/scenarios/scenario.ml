@@ -39,46 +39,34 @@ type outcome = {
 
 (* {1 Monitor spec derivation} *)
 
-let spec_of_workload = function
+let spec_of_workload workload =
+  let spec ~downtime ~lower_bound (segments : Sim_run.segment array) =
+    let expected i = if i >= 0 && i < Array.length segments then Some segments.(i) else None in
+    { Monitor.downtime; lower_bound; expected }
+  in
+  match workload with
   | Segments { segments; downtime } ->
-      let arr = Array.of_list segments in
       let lower_bound =
         List.fold_left
           (fun acc (s : Sim_run.segment) -> acc +. s.work +. s.checkpoint)
           0.0 segments
       in
-      {
-        Monitor.downtime;
-        lower_bound;
-        expected = (fun i -> if i >= 0 && i < Array.length arr then Some arr.(i) else None);
-      }
+      spec ~downtime ~lower_bound (Array.of_list segments)
   | Chain { tasks; initial_recovery; downtime; period } ->
-      let n = Array.length tasks in
+      let segments = Sim_run.chain_segments ~initial_recovery tasks in
+      let n = Array.length segments in
       (* The periodic policy is a pure function of the task index, so
          the failure-free makespan — total work plus every checkpoint
          the policy takes (the final one is forced) — is a sound lower
          bound under any fault scenario. *)
       let lower_bound = ref 0.0 in
       Array.iteri
-        (fun i (t : Task.t) ->
-          lower_bound := !lower_bound +. t.work;
+        (fun i (s : Sim_run.segment) ->
+          lower_bound := !lower_bound +. s.work;
           if i = n - 1 || (i + 1) mod period = 0 then
-            lower_bound := !lower_bound +. t.checkpoint_cost)
-        tasks;
-      {
-        Monitor.downtime;
-        lower_bound = !lower_bound;
-        expected =
-          (fun i ->
-            if i >= 0 && i < n then
-              Some
-                (Sim_run.segment ~work:tasks.(i).work
-                   ~checkpoint:tasks.(i).checkpoint_cost
-                   ~recovery:
-                     (if i = 0 then initial_recovery
-                      else tasks.(i - 1).recovery_cost))
-            else None);
-      }
+            lower_bound := !lower_bound +. s.checkpoint)
+        segments;
+      spec ~downtime ~lower_bound:!lower_bound segments
 
 (* {1 Deterministic run + digest} *)
 

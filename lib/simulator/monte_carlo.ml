@@ -79,9 +79,10 @@ let estimate_chain_policy ?domains ?target_ci ?max_runs ~model ~downtime
     ~initial_recovery ~runs ~rng ~decide tasks =
   replicate ?domains ?target_ci ?max_runs ~runs ~rng (fun _run run_rng ->
       let stream = stream_of_model model run_rng in
-      Sim_run.run_chain_policy ~initial_recovery ~downtime ~decide
-        ~next_failure:(Failure_stream.next_after stream)
-        tasks)
+      (Sim_run.run_chain_policy_stats ~initial_recovery ~downtime ~decide
+         ~next_failure:(Failure_stream.next_after stream)
+         tasks)
+        .Sim_run.makespan)
 
 type distribution = { samples : float array; estimate : estimate }
 
@@ -96,10 +97,6 @@ let collect_segments ?domains ~model ~downtime ~runs ~rng segments =
 
 let quantile d q = Ckpt_stats.Descriptive.quantile d.samples q
 
-let run_segments_on_trace ~downtime ~trace segments =
-  (Sim_run.run_plan ~downtime (Trace.to_stream trace) (Sim_run.compile segments))
-    .Sim_run.makespan
-
 let estimate_chain_policy_on_logs ?domains ~downtime ~initial_recovery ~logs ~decide tasks =
   if logs = [] then invalid_arg "Monte_carlo.estimate_chain_policy_on_logs: no traces";
   let traces = Array.of_list logs in
@@ -108,8 +105,9 @@ let estimate_chain_policy_on_logs ?domains ~downtime ~initial_recovery ~logs ~de
     Parallel_exec.estimate ?domains ~runs:(Array.length traces) ~seed:0L
       (fun run _rng ->
         let stream = Trace.to_stream traces.(run) in
-        Sim_run.run_chain_policy ~initial_recovery ~downtime ~decide
-          ~next_failure:(Failure_stream.next_after stream)
-          tasks)
+        (Sim_run.run_chain_policy_stats ~initial_recovery ~downtime ~decide
+           ~next_failure:(Failure_stream.next_after stream)
+           tasks)
+          .Sim_run.makespan)
   in
   estimate_of_welford acc

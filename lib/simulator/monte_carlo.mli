@@ -71,8 +71,9 @@ val estimate_chain_policy :
   decide:(Sim_run.chain_context -> bool) ->
   Ckpt_dag.Task.t array ->
   estimate
-(** Same replication scheme for the policy-driven chain executor.
-    [decide] must be thread-safe when [domains > 1]. *)
+(** Same replication scheme for a chain under a checkpoint policy, on
+    {!Sim_run.run_chain_policy_stats}. [decide] must be thread-safe
+    when [domains > 1]. *)
 
 type distribution = {
   samples : float array;  (** Sorted makespan samples. *)
@@ -94,11 +95,6 @@ val collect_segments :
 
 val quantile : distribution -> float -> float
 (** [quantile d q] with q in [0, 1]. *)
-
-val run_segments_on_trace :
-  downtime:float -> trace:Ckpt_failures.Trace.t -> Sim_run.segment list -> float
-(** One deterministic execution against a recorded trace, on
-    {!Sim_run.run_plan}. *)
 
 val estimate_chain_policy_on_logs :
   ?domains:int ->

@@ -66,114 +66,138 @@ let checked_next next_failure t =
     invalid_arg "Sim_run: next_failure returned NaN";
   fail
 
-(* Run a recovery of length [recovery]: failures restart downtime +
-   recovery; returns the completion time. [on_failure] observes each
-   failure instant (the chain executor tracks the last failure time for
-   the policy context); [emit]/[on_phase] observe the event log, with
-   [segment] the index the recovery will resume. *)
-let run_recovery ?(on_failure = fun (_ : float) -> ()) ?(emit = no_emit)
-    ?(on_phase = no_phase) ~max_failures ~counter ~segment:index ~downtime
-    ~next_failure ~recovery start =
-  let rec loop t =
-    on_phase Recovery_phase t;
-    let finish = t +. recovery in
-    let fail = checked_next next_failure t in
-    if fail >= finish then begin
-      if recovery > 0.0 then
-        emit { phase = Recovery_phase; segment = index; start = t; finish;
-               interrupted = false };
-      finish
-    end
-    else begin
-      count_failure ~max_failures counter;
-      Metrics.add m_lost_time (fail -. t);
-      on_failure fail;
-      emit { phase = Recovery_phase; segment = index; start = t; finish = fail;
-             interrupted = true };
-      on_phase Downtime_phase fail;
-      emit { phase = Downtime_phase; segment = index; start = fail;
-             finish = fail +. downtime; interrupted = false };
-      loop (fail +. downtime)
-    end
-  in
-  loop start
+type chain_context = {
+  task_index : int;
+  last_checkpoint : int;
+  now : float;
+  since_last_failure : float;
+  work_since_checkpoint : float;
+}
 
-let run_segments_emitting ?(max_failures = default_max_failures) ?(on_phase = no_phase)
-    ~emit ~downtime ~next_failure segments =
-  if not (downtime >= 0.0) then invalid_arg "Sim_run.run_segments: negative downtime";
-  let counter = ref 0 in
-  let run_segment t (index, seg) =
-    let recover fail_time =
-      on_phase Downtime_phase fail_time;
-      emit { phase = Downtime_phase; segment = index; start = fail_time;
-             finish = fail_time +. downtime; interrupted = false };
-      run_recovery ~emit ~on_phase ~max_failures ~counter ~segment:index ~downtime
-        ~next_failure ~recovery:seg.recovery (fail_time +. downtime)
-    in
-    let rec attempt t =
-      let work_end = t +. seg.work in
-      let ckpt_end = work_end +. seg.checkpoint in
-      (* Each phase makes its own failure query (as the chain executor
-         always has), so phase-aware injectors see the right phase. The
-         split is behaviour-preserving for the stream sources: a pending
-         failure strictly later than the query time is stable across
-         non-decreasing queries. *)
-      let work_fail =
-        if seg.work > 0.0 then begin
+(* The hooked executor, for segment lists and chains alike. Task [i]
+   runs its work, then a checkpoint when the run takes one there: after
+   every task without [decide], else when [decide] asks for one, and
+   always after the last task. A failure rolls the run back to the
+   start of task [first], the first task after the last checkpoint,
+   whose [recovery] restores that state. [t0] is the commit point (time
+   0, a recovery's end or a checkpoint's end) and [acc] the work done
+   since it, before task [i] starts at [t]. Each work and checkpoint
+   phase of positive length and each recovery makes one failure query;
+   zero-length work and checkpoint phases are skipped. *)
+let run_hooked ?(max_failures = default_max_failures) ?(emit = no_emit)
+    ?(on_phase = no_phase) ?decide ~downtime ~next_failure (tasks : segment array) =
+  if not (downtime >= 0.0) then invalid_arg "Sim_run: negative downtime";
+  let n = Array.length tasks in
+  let failures = ref 0 and last_failure = ref 0.0 in
+  let record_failure fail =
+    count_failure ~max_failures failures;
+    last_failure := fail
+  in
+  let rec run_task first t0 i t acc =
+    if i >= n then t
+    else begin
+      let s = tasks.(i) in
+      let work_end = t +. s.work in
+      let ckpt_end = work_end +. s.checkpoint in
+      let fail =
+        if s.work > 0.0 then begin
           on_phase Work_phase t;
-          let fail = checked_next next_failure t in
-          (* A failure at the exact work/checkpoint boundary interrupts
-             the work phase — unless the whole attempt completes there
-             (zero checkpoint), in which case completion wins. *)
-          if fail < ckpt_end && fail <= work_end then Some fail else None
+          checked_next next_failure t
         end
-        else None
+        else infinity
       in
-      match work_fail with
-      | Some fail ->
-          count_failure ~max_failures counter;
-          Metrics.add m_lost_work (fail -. t);
-          Metrics.add m_lost_time (fail -. t);
-          emit { phase = Work_phase; segment = index; start = t; finish = fail;
-                 interrupted = true };
-          attempt (recover fail)
-      | None ->
-          if seg.work > 0.0 then
-            emit { phase = Work_phase; segment = index; start = t; finish = work_end;
+      (* A failure at or before the end of the work interrupts it,
+         unless the run commits at that instant: a zero-length
+         checkpoint after the task. [decide] is not asked when the
+         failure interrupts the work whatever it answers. *)
+      let strikes_work = s.work > 0.0 && fail <= work_end in
+      if strikes_work && fail < ckpt_end then work_failed first i t acc fail
+      else begin
+        let acc_done = acc +. s.work in
+        let checkpoint =
+          i = n - 1
+          ||
+          match decide with
+          | None -> true
+          | Some decide ->
+              decide
+                { task_index = i; last_checkpoint = first - 1; now = work_end;
+                  since_last_failure = work_end -. !last_failure;
+                  work_since_checkpoint = acc_done }
+        in
+        if strikes_work && not checkpoint then work_failed first i t acc fail
+        else begin
+          if s.work > 0.0 then
+            emit { phase = Work_phase; segment = i; start = t; finish = work_end;
                    interrupted = false };
-          if seg.checkpoint > 0.0 then begin
+          if not checkpoint then run_task first t0 (i + 1) work_end acc_done
+          else if s.checkpoint > 0.0 then begin
             on_phase Checkpoint_phase work_end;
             let fail = checked_next next_failure work_end in
             if fail < ckpt_end then begin
-              count_failure ~max_failures counter;
-              (* The checkpoint failed: the segment's work is lost in
-                 full, but the checkpoint time elapsed is lost *time*,
-                 not lost work. *)
-              Metrics.add m_lost_work seg.work;
-              Metrics.add m_lost_time (fail -. t);
-              emit { phase = Checkpoint_phase; segment = index; start = work_end;
+              (* The work since the commit point is lost; the checkpoint
+                 time elapsed is lost time, not lost work. *)
+              record_failure fail;
+              Metrics.add m_lost_work acc_done;
+              Metrics.add m_lost_time (fail -. t0);
+              emit { phase = Checkpoint_phase; segment = i; start = work_end;
                      finish = fail; interrupted = true };
-              attempt (recover fail)
+              recover first fail
             end
             else begin
-              emit { phase = Checkpoint_phase; segment = index; start = work_end;
+              emit { phase = Checkpoint_phase; segment = i; start = work_end;
                      finish = ckpt_end; interrupted = false };
               Metrics.incr m_checkpoints;
-              ckpt_end
+              run_task (i + 1) ckpt_end (i + 1) ckpt_end 0.0
             end
           end
           else begin
             Metrics.incr m_checkpoints;
-            work_end
+            run_task (i + 1) work_end (i + 1) work_end 0.0
           end
-    in
-    attempt t
+        end
+      end
+    end
+  and work_failed first i t acc fail =
+    (* Everything elapsed since the commit point is work. *)
+    let lost = acc +. (fail -. t) in
+    record_failure fail;
+    Metrics.add m_lost_work lost;
+    Metrics.add m_lost_time lost;
+    emit { phase = Work_phase; segment = i; start = t; finish = fail; interrupted = true };
+    recover first fail
+  (* Downtime, then recovery attempts until one completes, restoring the
+     state before task [first]; a failure during a recovery restarts
+     both. *)
+  and recover first fail =
+    on_phase Downtime_phase fail;
+    let t = fail +. downtime in
+    emit { phase = Downtime_phase; segment = first; start = fail; finish = t;
+           interrupted = false };
+    on_phase Recovery_phase t;
+    let recovery = tasks.(first).recovery in
+    let finish = t +. recovery in
+    let fail = checked_next next_failure t in
+    if fail >= finish then begin
+      if recovery > 0.0 then
+        emit { phase = Recovery_phase; segment = first; start = t; finish;
+               interrupted = false };
+      run_task first finish first finish 0.0
+    end
+    else begin
+      record_failure fail;
+      Metrics.add m_lost_time (fail -. t);
+      emit { phase = Recovery_phase; segment = first; start = t; finish = fail;
+             interrupted = true };
+      recover first fail
+    end
   in
-  let makespan =
-    List.fold_left run_segment 0.0 (List.mapi (fun i seg -> (i, seg)) segments)
-  in
-  Metrics.observe m_failures_per_run (float_of_int !counter);
-  { makespan; failures = !counter }
+  let makespan = run_task 0 0.0 0 0.0 0.0 in
+  Metrics.observe m_failures_per_run (float_of_int !failures);
+  { makespan; failures = !failures }
+
+let run_segments_emitting ?max_failures ?on_phase ~emit ~downtime ~next_failure segments =
+  run_hooked ?max_failures ~emit ?on_phase ~downtime ~next_failure (Array.of_list segments)
 
 let run_segments_stats ?max_failures ?on_phase ~downtime ~next_failure segments =
   run_segments_emitting ?max_failures ?on_phase ~emit:no_emit ~downtime ~next_failure
@@ -187,6 +211,18 @@ let run_segments_traced ?max_failures ~downtime ~next_failure segments =
   let emit e = events := e :: !events in
   let stats = run_segments_emitting ?max_failures ~emit ~downtime ~next_failure segments in
   (stats, List.rev !events)
+
+let chain_segments ~initial_recovery tasks =
+  Array.mapi
+    (fun i (task : Task.t) ->
+      segment ~work:task.work ~checkpoint:task.checkpoint_cost
+        ~recovery:(if i = 0 then initial_recovery else tasks.(i - 1).Task.recovery_cost))
+    tasks
+
+let run_chain_policy_stats ?max_failures ?emit ?on_phase ~initial_recovery ~downtime ~decide
+    ~next_failure tasks =
+  run_hooked ?max_failures ?emit ?on_phase ~decide ~downtime ~next_failure
+    (chain_segments ~initial_recovery tasks)
 
 (* --- The compiled executor ------------------------------------------ *)
 
@@ -333,112 +369,3 @@ let run_plan ?(max_failures = default_max_failures) ~downtime stream plan =
   Metrics.observe m_failures_per_run (float_of_int !failures);
   { makespan = !now; failures = !failures }
 
-type chain_context = {
-  task_index : int;
-  last_checkpoint : int;
-  now : float;
-  since_last_failure : float;
-  work_since_checkpoint : float;
-}
-
-let run_chain_policy_stats ?(max_failures = default_max_failures) ?(emit = no_emit)
-    ?(on_phase = no_phase) ~initial_recovery ~downtime ~decide ~next_failure tasks =
-  if not (initial_recovery >= 0.0) then
-    invalid_arg "Sim_run.run_chain_policy: negative initial recovery";
-  if not (downtime >= 0.0) then invalid_arg "Sim_run.run_chain_policy: negative downtime";
-  let counter = ref 0 in
-  let n = Array.length tasks in
-  let last_failure = ref 0.0 in
-  let recovery_of last_ckpt =
-    if last_ckpt < 0 then initial_recovery else tasks.(last_ckpt).Task.recovery_cost
-  in
-  (* [execute t last_ckpt i acc_work] runs tasks i.. with [acc_work]
-     work accumulated since the checkpoint after task [last_ckpt].
-     Tasks run back to back after a commit point (recovery end or
-     checkpoint end), so the wall-clock elapsed since that point is
-     acc_work plus the elapsed portion of the current phase. *)
-  let rec execute t last_ckpt i acc_work =
-    if i >= n then t
-    else begin
-      let task = tasks.(i) in
-      let finish = t +. task.Task.work in
-      on_phase Work_phase t;
-      let fail = checked_next next_failure t in
-      if fail < finish then begin
-        emit { phase = Work_phase; segment = i; start = t; finish = fail;
-               interrupted = true };
-        (* Everything elapsed since the commit point is work, so lost
-           work and lost time coincide here. *)
-        let lost = acc_work +. (fail -. t) in
-        rollback ~lost_work:lost ~lost_time:lost fail last_ckpt
-      end
-      else begin
-        emit { phase = Work_phase; segment = i; start = t; finish; interrupted = false };
-        let acc_work = acc_work +. task.Task.work in
-        let ctx =
-          {
-            task_index = i;
-            last_checkpoint = last_ckpt;
-            now = finish;
-            since_last_failure = finish -. !last_failure;
-            work_since_checkpoint = acc_work;
-          }
-        in
-        let wants_checkpoint = i = n - 1 || decide ctx in
-        if not wants_checkpoint then execute finish last_ckpt (i + 1) acc_work
-        else begin
-          let ckpt_finish = finish +. task.Task.checkpoint_cost in
-          if task.Task.checkpoint_cost > 0.0 then begin
-            on_phase Checkpoint_phase finish;
-            let fail = checked_next next_failure finish in
-            if fail < ckpt_finish then begin
-              emit { phase = Checkpoint_phase; segment = i; start = finish;
-                     finish = fail; interrupted = true };
-              (* Only the work since the last checkpoint is lost work;
-                 the checkpoint time elapsed is lost time. *)
-              rollback ~lost_work:acc_work ~lost_time:(acc_work +. (fail -. finish))
-                fail last_ckpt
-            end
-            else begin
-              emit { phase = Checkpoint_phase; segment = i; start = finish;
-                     finish = ckpt_finish; interrupted = false };
-              Metrics.incr m_checkpoints;
-              execute ckpt_finish i (i + 1) 0.0
-            end
-          end
-          else begin
-            Metrics.incr m_checkpoints;
-            execute ckpt_finish i (i + 1) 0.0
-          end
-        end
-      end
-    end
-  and rollback ~lost_work ~lost_time fail_time last_ckpt =
-    count_failure ~max_failures counter;
-    Metrics.add m_lost_work lost_work;
-    Metrics.add m_lost_time lost_time;
-    last_failure := fail_time;
-    (* Downtime/recovery events carry the index of the task execution
-       resumes with, mirroring the segment executor's convention (the
-       recovery re-establishes that task's starting state). *)
-    let resume = last_ckpt + 1 in
-    on_phase Downtime_phase fail_time;
-    emit { phase = Downtime_phase; segment = resume; start = fail_time;
-           finish = fail_time +. downtime; interrupted = false };
-    let recovered =
-      run_recovery
-        ~on_failure:(fun fail -> last_failure := fail)
-        ~emit ~on_phase ~max_failures ~counter ~segment:resume ~downtime ~next_failure
-        ~recovery:(recovery_of last_ckpt) (fail_time +. downtime)
-    in
-    execute recovered last_ckpt resume 0.0
-  in
-  let makespan = execute 0.0 (-1) 0 0.0 in
-  Metrics.observe m_failures_per_run (float_of_int !counter);
-  { makespan; failures = !counter }
-
-let run_chain_policy ?max_failures ?emit ?on_phase ~initial_recovery ~downtime ~decide
-    ~next_failure tasks =
-  (run_chain_policy_stats ?max_failures ?emit ?on_phase ~initial_recovery ~downtime
-     ~decide ~next_failure tasks)
-    .makespan

@@ -10,27 +10,43 @@
     - after a successful recovery, the interrupted portion restarts from
       the last checkpointed state.
 
-    {1 Failure queries}
+    {1 One hooked executor}
 
-    The hooked executors ({!run_segments_emitting},
-    {!run_chain_policy_stats}) query [next_failure] once per {e phase}
-    (work, checkpoint, and each recovery attempt), with non-decreasing
-    times — so a phase-aware injector ({!Ckpt_failures.Injector})
-    observes the phase about to run via the [on_phase] hook before each
-    query. [next_failure t] must return a non-NaN time strictly later
-    than [t] (NaN raises [Invalid_argument]: under float comparison NaN
-    would silently read as "no failure ever"). The compiled executor
+    {!run_segments_emitting} and its wrappers, and
+    {!run_chain_policy_stats}, run on one per-phase loop over tasks: a
+    work duration, a checkpoint cost, and the recovery that restores the
+    state before the task. A segment list is one task per segment, with
+    a checkpoint after each; a chain is {!chain_segments}, with a
+    checkpoint after a task when [decide] asks for one and after the
+    last task. A failure rolls the run back to the first task after the
+    last checkpoint.
+
+    The loop queries [next_failure] once per {e phase} (work,
+    checkpoint, and each recovery attempt), with non-decreasing times —
+    so a phase-aware injector ({!Ckpt_failures.Injector}) observes the
+    phase about to run via the [on_phase] hook before each query.
+    [next_failure t] must return a non-NaN time strictly later than [t]
+    (NaN raises [Invalid_argument]: under float comparison NaN would
+    silently read as "no failure ever"). The compiled executor
     ({!run_plan}) asks a base stream only when its clock reaches the
     pending failure, which gives the same answers (see {!run_plan}).
 
+    {1 The boundary rule}
+
+    A failure at the exact end of a task's work interrupts that task,
+    unless the run takes a zero-length checkpoint at that instant. A
+    failure at the exact end of a checkpoint or a recovery finds the
+    phase complete; the next query looks strictly after that instant,
+    so such a failure interrupts nothing and is not counted.
+
     {1 Loss accounting}
 
-    Two loss metrics are kept, with consistent attribution across both
-    executors:
+    Two loss metrics are kept, with the same attribution in the hooked
+    and the compiled executor:
     - [sim.lost_work]: productive {e work} that must be re-executed — the
-      work elapsed in an interrupted work phase, or the whole
-      work-since-last-checkpoint when the checkpoint persisting it is
-      interrupted. Checkpoint and recovery time never count.
+      work done since the last commit point, up to the failure, when a
+      work or checkpoint phase is interrupted. Checkpoint and recovery
+      time never count.
     - [sim.lost_time]: wall-clock wiped out by failures — the elapsed
       portion of every interrupted work/checkpoint/recovery window,
       measured from the last commit point. Downtime is excluded (it is
@@ -82,12 +98,14 @@ val run_segments_emitting :
   ?on_phase:(phase -> float -> unit) ->
   emit:(event -> unit) ->
   downtime:float -> next_failure:(float -> float) -> segment list -> run_stats
-(** The fully-instrumented segment executor. [emit] observes every
-    completed or interrupted phase in chronological order (the monitor
-    hook of the scenario harness); [on_phase] is called with each phase
-    about to execute and its start time, {e before} that phase's failure
-    query — zero-length phases are skipped entirely (no hook, no query,
-    no event). Raises {!Livelock} after [max_failures] failures
+(** The hooked loop with a checkpoint after every segment. [emit]
+    observes every completed or interrupted phase in chronological order
+    (the monitor hook of the scenario harness); [on_phase] is called
+    with each phase about to execute and its start time, {e before}
+    that phase's failure query. Zero-length work and checkpoint phases
+    are skipped entirely (no hook, no query, no event); a zero-length
+    recovery still makes its hook call and query, but emits no event.
+    Raises {!Livelock} after [max_failures] failures
     (default 10,000,000). *)
 
 val run_segments :
@@ -161,6 +179,13 @@ val run_plan :
     phase-aware sources stay on {!run_segments_emitting}, which queries
     at every phase. *)
 
+val chain_segments : initial_recovery:float -> Ckpt_dag.Task.t array -> segment array
+(** [chain_segments ~initial_recovery tasks] is the chain as the
+    executor runs it: task [i]'s work and checkpoint cost, and the
+    recovery that restores the state before it ([initial_recovery] for
+    task 0, then task [i - 1]'s recovery cost). Raises
+    [Invalid_argument] on a negative or NaN [initial_recovery]. *)
+
 type chain_context = {
   task_index : int;  (** Index of the task that just completed. *)
   last_checkpoint : int;
@@ -186,26 +211,15 @@ val run_chain_policy_stats :
   next_failure:(float -> float) ->
   Ckpt_dag.Task.t array ->
   run_stats
-(** Execute a linear chain task by task; after each completed task, the
+(** Execute a linear chain, [chain_segments ~initial_recovery tasks],
+    on the hooked loop. After each completed task but the last, the
     [decide] callback chooses whether to checkpoint (at that task's
     [checkpoint_cost]). A failure rolls back to the last checkpointed
     task (recovery at that task's [recovery_cost], or
     [initial_recovery] when no checkpoint was taken yet) and the tasks
     after it re-execute, [decide] being consulted anew. A checkpoint is
     always taken after the final task, closing the run, as in the
-    paper's model. [emit] and [on_phase] observe the run exactly as in
+    paper's model. [emit] and [on_phase] observe the run as in
     {!run_segments_emitting}, with [event.segment] carrying the task
     index. Raises {!Livelock} after [max_failures] failures
     (default 10,000,000). *)
-
-val run_chain_policy :
-  ?max_failures:int ->
-  ?emit:(event -> unit) ->
-  ?on_phase:(phase -> float -> unit) ->
-  initial_recovery:float ->
-  downtime:float ->
-  decide:(chain_context -> bool) ->
-  next_failure:(float -> float) ->
-  Ckpt_dag.Task.t array ->
-  float
-(** {!run_chain_policy_stats} returning only the makespan. *)

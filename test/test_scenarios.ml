@@ -58,6 +58,29 @@ let test_pinned_digests () =
   Alcotest.(check bool) "digests differ across seeds" true
     (not (String.equal (expect "baseline-exp" 7L) (expect "baseline-exp" 8L)))
 
+(* Every scenario pinned at seed 42, the CI smoke seed: the segment
+   scenarios and both chain scenarios run on the one hooked executor. *)
+let test_pinned_digests_seed_42 () =
+  List.iter
+    (fun (name, digest) ->
+      match Scenario.find name with
+      | None -> Alcotest.failf "scenario %S missing" name
+      | Some s ->
+          Alcotest.(check string) (name ^ " pinned") digest
+            (Scenario.run s ~seed:42L).Scenario.digest)
+    [
+      ("baseline-exp", "6da3699b28564f06b8d05b583ec336c6");
+      ("renewal-weibull", "bc7543cb37c6067d4dd54186a343f429");
+      ("cascading-aftershocks", "6928d40d2b5a6da01971728a426b3f94");
+      ("ckpt-io-hazard", "b59cac4466d2aa3847880c4a34b6ec0d");
+      ("transient-masked", "99dc27c7634750b58f03781377bdb9f2");
+      ("drifting-hazard", "d0fcecc8c16f565b3cd32fc3f7e9a5ad");
+      ("replay-tie-burst", "753ce17cdf96af2cad0cc8dd50fcc080");
+      ("merged-phase-chain", "fcbc70a88d4ce71f106c99eea7c7939d");
+      ("chain-periodic-policy", "e58fb05fd320b4107c59f9b46fd2512f");
+    ];
+  Alcotest.(check int) "every registered scenario is pinned" 9 (List.length Scenario.all)
+
 let test_honest_engine_passes_monitors () =
   (* Every scenario, a sweep of seeds: the honest engine must never trip
      a monitor, whatever the fault pattern. *)
@@ -341,6 +364,7 @@ let suite =
     Alcotest.test_case "registry shape" `Quick test_registry_shape;
     Alcotest.test_case "digests reproduce" `Quick test_reproducible_digests;
     Alcotest.test_case "digest seed sensitivity" `Quick test_pinned_digests;
+    Alcotest.test_case "digests pinned at seed 42" `Quick test_pinned_digests_seed_42;
     Alcotest.test_case "honest engine passes monitors" `Slow
       test_honest_engine_passes_monitors;
     Alcotest.test_case "scenarios endure failures" `Slow test_scenarios_see_failures;

@@ -137,7 +137,7 @@ let test_chain_problem_kernel_identity () =
   done
 
 let test_monotone_dc_support () =
-  (* Uniform costs always qualify; generated chains (costs in [0.1, 1],
+  (* Uniform cost tables qualify; generated chains (costs in [0.1, 1],
      works >= 1) qualify; a recovery spike larger than the adjacent
      task weight disqualifies; overflow mode disqualifies. *)
   let uniform =
@@ -146,6 +146,21 @@ let test_monotone_dc_support () =
   in
   Alcotest.(check bool) "uniform chain qualifies" true
     (Segment_cost.supports_monotone_dc uniform);
+  (* Identical tasks qualify only when R - R0 <= w. Chain_problem.make
+     defaults R0 to 0, so 1,000 tasks with w = 1 and C = R = 2 fail at
+     row 0; Chain_problem.uniform defaults R0 to R. *)
+  let identical ?initial_recovery () =
+    Chain_problem.uniform ?initial_recovery ~lambda:1e-3 ~checkpoint:2.0 ~recovery:2.0
+      (List.init 1000 (fun _ -> 1.0))
+    |> Chain_problem.kernel |> Segment_cost.supports_monotone_dc
+  in
+  Alcotest.(check bool) "identical tasks, R0 = 0, disqualify" false
+    (identical ~initial_recovery:0.0 ());
+  Alcotest.(check bool) "identical tasks, R0 = 1, qualify" true
+    (identical ~initial_recovery:1.0 ());
+  Alcotest.(check bool) "identical tasks, R0 = R = 2, qualify" true
+    (identical ~initial_recovery:2.0 ());
+  Alcotest.(check bool) "Chain_problem.uniform defaults R0 to R" true (identical ());
   let rng = Rng.create ~seed:66L in
   let dag = Generate.chain rng (Generate.uniform_costs ()) ~n:40 in
   let p = Chain_problem.of_dag ~downtime:0.2 ~lambda:0.1 dag in
