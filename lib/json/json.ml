@@ -15,7 +15,12 @@ exception Parse_error of string
    read as a plain char (no option), a string without escapes is one
    String.sub, and the duplicate-key check scans the keys already read. *)
 
-type state = { src : string; mutable pos : int }
+type state = { src : string; mutable pos : int; mutable depth : int }
+
+(* The parser recurses once per open array or object. Nothing the repo
+   reads or writes nests more than a few levels deep; the bound keeps a
+   frame of nested brackets from stalling ckpt-serve's event loop. *)
+let max_depth = 512
 
 let err st msg =
   (* Derive line/column from the offset so messages stay useful on the
@@ -194,24 +199,29 @@ let check_new_key st key fields count seen =
       Hashtbl.add table key ();
       Some table
 
+(* Enters an array or object at the cursor's bracket. *)
+let open_nested st =
+  if st.depth >= max_depth then
+    err st (Printf.sprintf "nesting deeper than %d arrays and objects" max_depth);
+  st.depth <- st.depth + 1;
+  advance st;
+  skip_ws st
+
+let close_nested st v =
+  advance st;
+  st.depth <- st.depth - 1;
+  v
+
 let rec parse_value st =
   skip_ws st;
   match cur st with
   | '{' ->
-      advance st;
-      skip_ws st;
-      if cur st = '}' then begin
-        advance st;
-        Obj []
-      end
+      open_nested st;
+      if cur st = '}' then close_nested st (Obj [])
       else Obj (parse_members st [] 0 None)
   | '[' ->
-      advance st;
-      skip_ws st;
-      if cur st = ']' then begin
-        advance st;
-        List []
-      end
+      open_nested st;
+      if cur st = ']' then close_nested st (List [])
       else List (parse_elements st [])
   | '"' -> String (parse_string_body st)
   | 't' -> literal st "true" (Bool true)
@@ -234,9 +244,7 @@ and parse_members st fields count seen =
   | ',' ->
       advance st;
       parse_members st fields (count + 1) seen
-  | '}' ->
-      advance st;
-      List.rev fields
+  | '}' -> close_nested st (List.rev fields)
   | _ -> err st "expected ',' or '}' in object"
 
 and parse_elements st items =
@@ -246,13 +254,11 @@ and parse_elements st items =
   | ',' ->
       advance st;
       parse_elements st items
-  | ']' ->
-      advance st;
-      List.rev items
+  | ']' -> close_nested st (List.rev items)
   | _ -> err st "expected ',' or ']' in array"
 
 let parse s =
-  let st = { src = s; pos = 0 } in
+  let st = { src = s; pos = 0; depth = 0 } in
   let v = parse_value st in
   skip_ws st;
   if st.pos <> String.length s then err st "trailing content after JSON value";

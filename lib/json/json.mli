@@ -25,8 +25,14 @@ type t =
 exception Parse_error of string
 (** Carries ["line L, column C: message"]. *)
 
+val max_depth : int
+(** The deepest nesting {!parse} accepts: 512 arrays and objects, one
+    inside the other. *)
+
 val parse : string -> t
-(** Raises {!Parse_error}. Trailing non-whitespace is an error. *)
+(** Raises {!Parse_error}. Trailing non-whitespace is an error, and so
+    is an array or object opened deeper than {!max_depth}, at its
+    bracket. *)
 
 val parse_result : string -> (t, string) result
 

@@ -209,6 +209,25 @@ let observe h v =
   c.hist_total.(h.hslot) <- c.hist_total.(h.hslot) +. v;
   c.hist_obs.(h.hslot) <- c.hist_obs.(h.hslot) + 1
 
+(* Adds one histogram's bucket counts, total and observation count to
+   slot [slot] of [c], which must exist: [merge_into]'s step for each
+   histogram, and [observe_counts]. *)
+let add_histogram c slot counts total observations =
+  let dst = c.hist_counts.(slot) in
+  if Array.length dst = 0 then c.hist_counts.(slot) <- Array.copy counts
+  else Array.iteri (fun b v -> dst.(b) <- dst.(b) + v) counts;
+  c.hist_total.(slot) <- c.hist_total.(slot) +. total;
+  c.hist_obs.(slot) <- c.hist_obs.(slot) + observations
+
+let observe_counts h ~counts ~total ~observations =
+  if Array.length counts <> Array.length h.buckets + 1 then
+    invalid_arg "Metrics.observe_counts: one count per bucket plus the overflow";
+  if observations > 0 then begin
+    let c = current () in
+    if Array.length c.hist_obs <= h.hslot then ensure_hist c (h.hslot + 1);
+    add_histogram c h.hslot counts total observations
+  end
+
 let merge_into ~dst src =
   ensure_counter dst (Array.length src.counters);
   Array.iteri (fun i v -> if v <> 0 then dst.counters.(i) <- dst.counters.(i) + v) src.counters;
@@ -227,16 +246,8 @@ let merge_into ~dst src =
   ensure_hist dst (Array.length src.hist_counts);
   Array.iteri
     (fun i counts ->
-      if Array.length counts > 0 then begin
-        if Array.length dst.hist_counts.(i) = 0 then
-          dst.hist_counts.(i) <- Array.copy counts
-        else
-          Array.iteri
-            (fun b v -> dst.hist_counts.(i).(b) <- dst.hist_counts.(i).(b) + v)
-            counts;
-        dst.hist_total.(i) <- dst.hist_total.(i) +. src.hist_total.(i);
-        dst.hist_obs.(i) <- dst.hist_obs.(i) + src.hist_obs.(i)
-      end)
+      if Array.length counts > 0 then
+        add_histogram dst i counts src.hist_total.(i) src.hist_obs.(i))
     src.hist_counts
 
 type histogram_data = {

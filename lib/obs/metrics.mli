@@ -71,6 +71,16 @@ val add : sum -> float -> unit
 val set : gauge -> float -> unit
 val observe : histogram -> float -> unit
 
+val observe_counts :
+  histogram -> counts:int array -> total:float -> observations:int -> unit
+(** Adds observations made elsewhere, in one step: [counts] (one per
+    bucket, then the overflow bucket), the sum [total] of the observed
+    values and their number, as {!merge_into} adds a histogram. Nothing
+    is added when [observations = 0]. A batch of values tallied from
+    [0.0] and added once to a fresh collector leaves the same bits as
+    {!observe} per value. Raises [Invalid_argument] when [counts] does
+    not have one slot per bucket plus one. *)
+
 (** {1 Scoped collectors} *)
 
 type collector

@@ -8,9 +8,15 @@ let substream t label =
 
 let split t = { t with gen = Xoshiro256.split t.gen }
 
-let substream_run t run =
-  let sub_seed = Splitmix64.of_label_int t.seed "run-" run in
+type run_prefix = int64
+
+let run_prefix t = Splitmix64.prefix t.seed "run-"
+
+let substream_of_prefix prefix run =
+  let sub_seed = Splitmix64.of_prefix_int prefix run in
   { gen = Xoshiro256.create sub_seed; seed = sub_seed }
+
+let substream_run t run = substream_of_prefix (run_prefix t) run
 
 let int64 t = Xoshiro256.next_int64 t.gen
 

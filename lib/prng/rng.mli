@@ -26,7 +26,17 @@ val substream_run : t -> int -> t
     Because the derivation depends only on [t]'s seed and on [r], the
     sample set of a replication campaign is the same whether the run
     indices are drawn sequentially or spread over domains — the
-    determinism anchor of {!Ckpt_sim.Parallel_exec}. *)
+    determinism anchor of {!Ckpt_sim.Parallel_exec}. It is
+    [substream_of_prefix (run_prefix t) r]. *)
+
+type run_prefix
+(** [t]'s seed with the label prefix ["run-"] absorbed. *)
+
+val run_prefix : t -> run_prefix
+(** Absorbs ["run-"] once, for a loop of {!substream_of_prefix} calls. *)
+
+val substream_of_prefix : run_prefix -> int -> t
+(** [substream_of_prefix (run_prefix t) r] is [substream_run t r]. *)
 
 val int64 : t -> int64
 (** Uniform raw 64-bit value. *)

@@ -27,30 +27,46 @@ let fill seed buf =
    still diverge completely. *)
 let[@inline] absorb acc byte = mix (Int64.mul (Int64.logxor acc (Int64.of_int byte)) 0x100000001B3L)
 
-let absorb_string acc s =
+let prefix acc s =
   let acc = ref acc in
   for i = 0 to String.length s - 1 do
     acc := absorb !acc (Char.code (String.unsafe_get s i))
   done;
   !acc
 
-let of_label seed label = mix (absorb_string seed label)
+let of_label seed label = mix (prefix seed label)
 
-let of_label_int seed prefix n =
-  let acc = ref (absorb_string seed prefix) in
-  (* The decimal digits of [n], most significant first, as
-     [string_of_int] writes them. The magnitude is kept non-positive so
-     that [min_int] needs no negation. *)
-  if n < 0 then acc := absorb !acc (Char.code '-');
-  let m = ref (if n < 0 then n else -n) in
-  let p = ref 1 in
-  while !m / !p <= -10 do
-    p := !p * 10
+(* Absorbs the decimal digits of the non-positive [m], most significant
+   first, padded with zeros to [width] digits. The digits are reversed
+   into [rev] under a leading 1 that marks where they end, then read
+   back; both passes divide only by the constant 10. [rev] holds up to 18
+   digits, so [m] must have at most 17. *)
+let[@inline] absorb_digits acc m ~width =
+  let rev = ref 1 and m = ref m and w = ref 0 in
+  while !m < 0 || !w < width do
+    let q = !m / 10 in
+    rev := (!rev * 10) + ((q * 10) - !m);
+    m := q;
+    incr w
   done;
-  while !p > 0 do
-    let digit = - (!m / !p) in
-    acc := absorb !acc (Char.code '0' + digit);
-    m := !m + (digit * !p);
-    p := !p / 10
+  let acc = ref acc in
+  while !rev > 1 do
+    let q = !rev / 10 in
+    acc := absorb !acc (Char.code '0' + (!rev - (q * 10)));
+    rev := q
   done;
-  mix !acc
+  !acc
+
+let e17 = 100_000_000_000_000_000
+
+let of_prefix_int acc n =
+  (* The bytes of [string_of_int n]: a '-' when negative, then the digits
+     of the magnitude, kept non-positive so that [min_int] needs no
+     negation. A magnitude of 18 or 19 digits absorbs its digits above
+     the lowest 17 first. *)
+  let acc = if n < 0 then absorb acc (Char.code '-') else acc in
+  let m = if n < 0 then n else -n in
+  let high = m / e17 in
+  if high < 0 then
+    mix (absorb_digits (absorb_digits acc high ~width:1) (m - (high * e17)) ~width:17)
+  else mix (absorb_digits acc m ~width:1)

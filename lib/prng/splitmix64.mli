@@ -24,7 +24,11 @@ val of_label : int64 -> string -> int64
     from [seed] and a human-readable [label]. Distinct labels give
     (with overwhelming probability) unrelated sub-seeds. *)
 
-val of_label_int : int64 -> string -> int -> int64
-(** [of_label_int seed prefix n] is
-    [of_label seed (prefix ^ string_of_int n)], computed without
-    building the string. *)
+val prefix : int64 -> string -> int64
+(** [prefix seed p] absorbs the label prefix [p] into [seed], once, for
+    any number of {!of_prefix_int} derivations. *)
+
+val of_prefix_int : int64 -> int -> int64
+(** [of_prefix_int (prefix seed p) n] is
+    [of_label seed (p ^ string_of_int n)], computed without building the
+    string; the digits of [n] are taken by divisions by constants. *)

@@ -47,7 +47,7 @@ let estimate_of_welford acc =
 (* All estimators funnel here: fixed-runs or adaptive campaigns, both
    executed by the deterministic domain pool. [runs] is the campaign
    size (fixed mode) or the initial round (adaptive mode). *)
-let replicate ?domains ?target_ci ?max_runs ~runs ~rng sample =
+let replicate ?domains ?target_ci ?max_runs ~runs ~rng sampler =
   if runs <= 0 then invalid_arg "Monte_carlo: runs must be positive";
   let seed = Rng.seed_of rng in
   let acc =
@@ -57,32 +57,39 @@ let replicate ?domains ?target_ci ?max_runs ~runs ~rng sample =
           ("adaptive", match target_ci with Some _ -> "true" | None -> "false") ]
       (fun () ->
         match target_ci with
-        | None -> Parallel_exec.estimate ?domains ~runs ~seed sample
+        | None -> Parallel_exec.estimate ?domains ~runs ~seed sampler
         | Some target_ci ->
             let max_runs = match max_runs with Some m -> m | None -> runs * 64 in
             Parallel_exec.estimate_adaptive ?domains ~runs ~max_runs ~target_ci ~seed
-              sample)
+              sampler)
   in
   estimate_of_welford acc
 
 (* Segment campaigns compile their plan once and run it on the
-   compiled executor, bit-identical to Sim_run.run_segments. *)
-let segments_sample ~model ~downtime plan _run run_rng =
-  let stream = stream_of_model model run_rng in
-  (Sim_run.run_plan ~downtime stream plan).Sim_run.makespan
+   compiled executor, bit-identical to Sim_run.run_segments, one pool
+   batch at a time: the batch's runs share one tally, flushed once into
+   the batch's fresh collector, and one absorbed "run-" prefix. *)
+let segments_sampler ~model ~downtime plan ~first ~last root report =
+  let tally = Sim_run.tally () and prefix = Rng.run_prefix root in
+  for r = first to last do
+    let stream = stream_of_model model (Rng.substream_of_prefix prefix r) in
+    report (Sim_run.run_plan ~downtime tally stream plan).Sim_run.makespan
+  done;
+  Sim_run.flush tally
 
 let estimate_segments ?domains ?target_ci ?max_runs ~model ~downtime ~runs ~rng segments =
   replicate ?domains ?target_ci ?max_runs ~runs ~rng
-    (segments_sample ~model ~downtime (Sim_run.compile segments))
+    (segments_sampler ~model ~downtime (Sim_run.compile segments))
 
 let estimate_chain_policy ?domains ?target_ci ?max_runs ~model ~downtime
     ~initial_recovery ~runs ~rng ~decide tasks =
-  replicate ?domains ?target_ci ?max_runs ~runs ~rng (fun _run run_rng ->
-      let stream = stream_of_model model run_rng in
-      (Sim_run.run_chain_policy_stats ~initial_recovery ~downtime ~decide
-         ~next_failure:(Failure_stream.next_after stream)
-         tasks)
-        .Sim_run.makespan)
+  replicate ?domains ?target_ci ?max_runs ~runs ~rng
+    (Parallel_exec.per_run (fun _run run_rng ->
+         let stream = stream_of_model model run_rng in
+         (Sim_run.run_chain_policy_stats ~initial_recovery ~downtime ~decide
+            ~next_failure:(Failure_stream.next_after stream)
+            tasks)
+           .Sim_run.makespan))
 
 type distribution = { samples : float array; estimate : estimate }
 
@@ -90,7 +97,7 @@ let collect_segments ?domains ~model ~downtime ~runs ~rng segments =
   if runs <= 0 then invalid_arg "Monte_carlo.collect_segments: runs must be positive";
   let samples, acc =
     Parallel_exec.collect ?domains ~runs ~seed:(Rng.seed_of rng)
-      (segments_sample ~model ~downtime (Sim_run.compile segments))
+      (segments_sampler ~model ~downtime (Sim_run.compile segments))
   in
   Array.sort Float.compare samples;
   { samples; estimate = estimate_of_welford acc }
@@ -103,11 +110,11 @@ let estimate_chain_policy_on_logs ?domains ~downtime ~initial_recovery ~logs ~de
   (* Replay is deterministic per trace; the pool's substreams are unused. *)
   let acc =
     Parallel_exec.estimate ?domains ~runs:(Array.length traces) ~seed:0L
-      (fun run _rng ->
-        let stream = Trace.to_stream traces.(run) in
-        (Sim_run.run_chain_policy_stats ~initial_recovery ~downtime ~decide
-           ~next_failure:(Failure_stream.next_after stream)
-           tasks)
-          .Sim_run.makespan)
+      (Parallel_exec.per_run (fun run _rng ->
+           let stream = Trace.to_stream traces.(run) in
+           (Sim_run.run_chain_policy_stats ~initial_recovery ~downtime ~decide
+              ~next_failure:(Failure_stream.next_after stream)
+              tasks)
+             .Sim_run.makespan))
   in
   estimate_of_welford acc

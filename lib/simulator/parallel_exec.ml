@@ -8,6 +8,8 @@
    depend on how many domains processed the batches. Run [r] always
    draws from [Rng.substream_run root r] of a root rebuilt from the
    shared seed, so the sample set itself is independent of the layout.
+   A batch is handed to the sampler whole: its first and last run and
+   the root, and the sampler reports every run's value in run order.
 
    Claiming, cancellation and first-exception capture are the team's
    (Domain_team.run): a raising batch stops further claims, the round
@@ -40,6 +42,14 @@ let s_wall = Metrics.sum ~kind:Timing "pool.wall_s"
 
 let check_runs runs = if runs <= 0 then invalid_arg "Parallel_exec: runs must be positive"
 
+type sampler = first:int -> last:int -> Rng.t -> (float -> unit) -> unit
+
+let per_run sample ~first ~last root report =
+  let prefix = Rng.run_prefix root in
+  for r = first to last do
+    report (sample r (Rng.substream_of_prefix prefix r))
+  done
+
 (* One team per campaign, created in the calling domain and sized by the
    largest round the campaign can run, so no participant is spawned
    without a batch to claim. Each spawned domain that runs a batch
@@ -59,7 +69,7 @@ let with_campaign_team ?domains ~largest_round f =
       Metrics.add s_wall (Clock.elapsed_s t_campaign))
     (fun () -> f team)
 
-let run_round ?(store = fun _ _ -> ()) team ~base ~runs ~seed sample =
+let run_round ?(store = fun _ _ -> ()) team ~base ~runs ~seed sampler =
   let n = batches runs in
   let accs = Array.init n (fun _ -> Welford.create ()) in
   (* One metrics collector per batch, merged in batch order below. *)
@@ -90,11 +100,14 @@ let run_round ?(store = fun _ _ -> ()) team ~base ~runs ~seed sample =
                   [ ("batch", string_of_int b); ("lo", string_of_int lo);
                     ("hi", string_of_int hi) ]
                 (fun () ->
-                  for r = lo to hi - 1 do
-                    let x = sample r (Rng.substream_run root r) in
-                    Welford.add accs.(b) x;
-                    store r x
-                  done;
+                  let acc = accs.(b) and next = ref lo in
+                  sampler ~first:lo ~last:(hi - 1) root (fun x ->
+                      let r = !next in
+                      if r >= hi then invalid_arg "Parallel_exec: sampler reported too many runs";
+                      Welford.add acc x;
+                      store r x;
+                      next := r + 1);
+                  if !next < hi then invalid_arg "Parallel_exec: sampler reported too few runs";
                   Metrics.incr ~by:(hi - lo) m_runs;
                   Metrics.incr m_batches));
           Ckpt_obs.Gc_telemetry.sample gc_probe;
@@ -114,17 +127,17 @@ let run_round ?(store = fun _ _ -> ()) team ~base ~runs ~seed sample =
   done;
   Array.fold_left Welford.merge (Welford.create ()) accs
 
-let estimate ?domains ~runs ~seed sample =
+let estimate ?domains ~runs ~seed sampler =
   check_runs runs;
   with_campaign_team ?domains ~largest_round:runs (fun team ->
-      run_round team ~base:0 ~runs ~seed sample)
+      run_round team ~base:0 ~runs ~seed sampler)
 
-let collect ?domains ~runs ~seed sample =
+let collect ?domains ~runs ~seed sampler =
   check_runs runs;
   let samples = Array.make runs 0.0 in
   let acc =
     with_campaign_team ?domains ~largest_round:runs (fun team ->
-        run_round team ~store:(fun r x -> samples.(r) <- x) ~base:0 ~runs ~seed sample)
+        run_round team ~store:(fun r x -> samples.(r) <- x) ~base:0 ~runs ~seed sampler)
   in
   (samples, acc)
 
@@ -164,7 +177,7 @@ let doubling_rounds ~runs ~max_runs =
   in
   grow runs [ (0, runs) ]
 
-let estimate_adaptive ?domains ~runs ~max_runs ~target_ci ~seed sample =
+let estimate_adaptive ?domains ~runs ~max_runs ~target_ci ~seed sampler =
   check_runs runs;
   if max_runs < runs then invalid_arg "Parallel_exec: max_runs must be >= runs";
   if not (target_ci > 0.0) then invalid_arg "Parallel_exec: target_ci must be positive";
@@ -175,7 +188,7 @@ let estimate_adaptive ?domains ~runs ~max_runs ~target_ci ~seed sample =
         | [] -> acc
         | (base, runs) :: later ->
             Metrics.incr m_rounds;
-            let acc = Welford.merge acc (run_round team ~base ~runs ~seed sample) in
+            let acc = Welford.merge acc (run_round team ~base ~runs ~seed sampler) in
             report_ci acc;
             if converged ~target_ci acc then acc else go acc later
       in

@@ -3,11 +3,13 @@
 
     A campaign of [runs] replications is partitioned into fixed-size
     batches on an absolute run-index grid, and each round runs its
-    batches as the tasks of a {!Domain_team} round; run [r] draws its
-    randomness from {!Ckpt_prng.Rng.substream_run}[ root r] where [root]
-    is rebuilt from the shared [seed], and each batch is reduced into its
-    own {!Ckpt_stats.Welford} accumulator. Batch accumulators are merged
-    in batch-index order.
+    batches as the tasks of a {!Domain_team} round. Each batch is handed
+    whole to the {!sampler}: its first and last run, and a [root]
+    rebuilt from the shared [seed]; run [r] draws its randomness from
+    {!Ckpt_prng.Rng.substream_run}[ root r]. The sampler reports the
+    batch's values in run order, and the pool reduces them into the
+    batch's own {!Ckpt_stats.Welford} accumulator. Batch accumulators
+    are merged in batch-index order.
 
     {b Determinism guarantee}: neither the sample set nor the reduction
     tree depends on the number of domains, so every function below
@@ -27,29 +29,49 @@
     recorded is re-raised — no domain is ever leaked, and the next
     campaign runs normally.
 
-    The [sample] callback runs concurrently on several domains: it must
-    not mutate shared state (closing over per-call state derived from
-    the provided {!Ckpt_prng.Rng.t} is the intended style). *)
+    {b Metrics}: each batch runs under its own fresh
+    {!Ckpt_obs.Metrics} collector, and the batch collectors are merged
+    into the caller's collector in batch-index order after the round, so
+    float sums are bit-identical for any domain count too. A raising
+    round's collectors are dropped.
+
+    The sampler runs concurrently on several domains: it must not mutate
+    shared state (state created per batch, or derived from the provided
+    {!Ckpt_prng.Rng.t}, is the intended style). *)
 
 val batch_size : int
 (** Runs per batch (256). Part of the determinism contract: changing it
     changes the reduction tree, hence the low-order bits of estimates. *)
 
+type sampler = first:int -> last:int -> Ckpt_prng.Rng.t -> (float -> unit) -> unit
+(** [sampler ~first ~last root report] runs one batch: runs [first] to
+    [last], inclusive, calling [report] with each run's value in run
+    order. Run [r] must draw from [Rng.substream_run root r] (or, equal
+    and cheaper, from [Rng.substream_of_prefix (Rng.run_prefix root) r]).
+    It runs inside the batch's collector, so it may keep its own
+    accounting for the batch and emit it once before it returns. The
+    pool raises [Invalid_argument] when a sampler reports more or fewer
+    values than its batch has runs. *)
+
+val per_run : (int -> Ckpt_prng.Rng.t -> float) -> sampler
+(** [per_run sample] calls [sample r rng_r] for each run [r] of a
+    batch, with [rng_r] its run substream. *)
+
 val estimate :
   ?domains:int ->
   runs:int ->
   seed:int64 ->
-  (int -> Ckpt_prng.Rng.t -> float) ->
+  sampler ->
   Ckpt_stats.Welford.t
-(** [estimate ~runs ~seed sample] reduces [sample r rng_r] for
-    [r = 0 .. runs-1] into one accumulator. Raises [Invalid_argument]
+(** [estimate ~runs ~seed sampler] reduces the values of runs
+    [0 .. runs-1] into one accumulator. Raises [Invalid_argument]
     if [runs <= 0] or [domains < 1]. *)
 
 val collect :
   ?domains:int ->
   runs:int ->
   seed:int64 ->
-  (int -> Ckpt_prng.Rng.t -> float) ->
+  sampler ->
   float array * Ckpt_stats.Welford.t
 (** Like {!estimate} but also returns the samples, indexed by run (not
     sorted); each slot is written by exactly one domain. *)
@@ -60,9 +82,9 @@ val estimate_adaptive :
   max_runs:int ->
   target_ci:float ->
   seed:int64 ->
-  (int -> Ckpt_prng.Rng.t -> float) ->
+  sampler ->
   Ckpt_stats.Welford.t
-(** [estimate_adaptive ~runs ~max_runs ~target_ci ~seed sample] starts
+(** [estimate_adaptive ~runs ~max_runs ~target_ci ~seed sampler] starts
     with [runs] replications and doubles the campaign until the 99%
     normal-approximation CI half-width falls to [target_ci *. |mean|]
     (relative target) or the hard cap [max_runs] is reached, whichever

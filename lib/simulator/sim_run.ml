@@ -2,10 +2,11 @@ module Task = Ckpt_dag.Task
 module Metrics = Ckpt_obs.Metrics
 module Failure_stream = Ckpt_failures.Failure_stream
 
-(* Engine metrics, emitted into the caller's current collector: under
-   the parallel pool each run's events land in its batch's collector,
-   so the report-time totals are bit-identical for any domain count
-   (see Ckpt_obs.Metrics on the merge order). *)
+(* Engine metrics, emitted into the caller's current collector by the
+   hooked executor and by [flush]: under the parallel pool each batch's
+   runs land in its batch's collector, so the report-time totals are
+   bit-identical for any domain count (see Ckpt_obs.Metrics on the merge
+   order). *)
 let m_failures = Metrics.counter "sim.failures"
 let m_checkpoints = Metrics.counter "sim.checkpoints"
 
@@ -21,9 +22,13 @@ let m_lost_work = Metrics.sum "sim.lost_work"
    included — they are sim.failures * D by construction. *)
 let m_lost_time = Metrics.sum "sim.lost_time"
 
+(* A run with [f] failures lands in the first bucket with [f <= bound],
+   else in the overflow bucket. *)
+let failures_per_run_bounds = [| 0; 1; 2; 5; 10; 20; 50; 100 |]
+
 let m_failures_per_run =
   Metrics.histogram "sim.failures_per_run"
-    ~buckets:[| 0.; 1.; 2.; 5.; 10.; 20.; 50.; 100. |]
+    ~buckets:(Array.map float_of_int failures_per_run_bounds)
 
 type segment = { work : float; checkpoint : float; recovery : float }
 
@@ -236,24 +241,66 @@ let compile segments =
     recoveries = Array.map (fun s -> s.recovery) segs;
   }
 
-(* The run's checkpoints reach sim.checkpoints in one addition, when the
-   run ends or an exception leaves it. *)
-let flush_checkpoints checkpoints = Metrics.incr ~by:checkpoints m_checkpoints
+(* The losses are a flat float record, so adding to them boxes nothing. *)
+type losses = { mutable lost_work : float; mutable lost_time : float }
 
-let query ~checkpoints stream time =
+type tally = {
+  mutable failures : int;
+  mutable checkpoints : int;
+  losses : losses;
+  per_run : int array;  (* sim.failures_per_run's bucket counts *)
+  mutable runs : int;  (* its observations: the runs that finished *)
+  mutable run_failures : int;  (* their failures: its total *)
+}
+
+let tally () =
+  {
+    failures = 0;
+    checkpoints = 0;
+    losses = { lost_work = 0.0; lost_time = 0.0 };
+    per_run = Array.make (Array.length failures_per_run_bounds + 1) 0;
+    runs = 0;
+    run_failures = 0;
+  }
+
+(* The histogram's total is a sum of failure counts: as a float summed
+   run by run from 0.0 it is exact below 2^53, so it equals the integer
+   sum converted once. *)
+let flush t =
+  Metrics.incr ~by:t.failures m_failures;
+  Metrics.incr ~by:t.checkpoints m_checkpoints;
+  Metrics.add m_lost_work t.losses.lost_work;
+  Metrics.add m_lost_time t.losses.lost_time;
+  Metrics.observe_counts m_failures_per_run ~counts:t.per_run
+    ~total:(float_of_int t.run_failures) ~observations:t.runs
+
+(* A run's failure and checkpoint counts reach the tally in one addition,
+   when the run ends or an exception leaves it. *)
+let settle tally ~failures ~checkpoints =
+  tally.failures <- tally.failures + failures;
+  tally.checkpoints <- tally.checkpoints + checkpoints
+
+let finish_run tally ~failures ~checkpoints =
+  settle tally ~failures ~checkpoints;
+  let b = ref 0 in
+  while !b < Array.length failures_per_run_bounds && failures > failures_per_run_bounds.(!b) do
+    incr b
+  done;
+  tally.per_run.(!b) <- tally.per_run.(!b) + 1;
+  tally.runs <- tally.runs + 1;
+  tally.run_failures <- tally.run_failures + failures
+
+let query tally ~failures ~checkpoints stream time =
   let fail = Failure_stream.next_after stream time in
   if Float.is_nan fail then begin
-    flush_checkpoints checkpoints;
+    settle tally ~failures ~checkpoints;
     invalid_arg "Sim_run: next_failure returned NaN"
   end;
   fail
 
-let count_plan_failure ~max_failures ~checkpoints failures =
-  Metrics.incr m_failures;
-  if failures > max_failures then begin
-    flush_checkpoints checkpoints;
-    raise (Livelock failures)
-  end
+let livelock tally ~failures ~checkpoints =
+  settle tally ~failures ~checkpoints;
+  raise (Livelock failures)
 
 (* [run_segments_emitting] with no hooks, as one loop over unboxed
    locals: no closure, event or boxed float per segment. [pending] is
@@ -269,9 +316,10 @@ let count_plan_failure ~max_failures ~checkpoints failures =
    exactness argument is in the interface). The walk also stops at a
    negative [c], where the per-phase code would commit [work_end]
    instead. *)
-let run_plan ?(max_failures = default_max_failures) ~downtime stream plan =
+let run_plan ?(max_failures = default_max_failures) ~downtime tally stream plan =
   if not (downtime >= 0.0) then invalid_arg "Sim_run.run_plan: negative downtime";
   let works = plan.works and ckpts = plan.checkpoints and recoveries = plan.recoveries in
+  let losses = tally.losses in
   let n = Array.length works in
   let pending = ref neg_infinity in
   let now = ref 0.0 in
@@ -288,13 +336,15 @@ let run_plan ?(max_failures = default_max_failures) ~downtime stream plan =
       let ckpt_end = work_end +. ckpt in
       let interrupted = ref false and fail_at = ref 0.0 in
       if work > 0.0 then begin
-        if not (!pending > t) then pending := query ~checkpoints:!checkpoints stream t;
+        if not (!pending > t) then
+          pending := query tally ~failures:!failures ~checkpoints:!checkpoints stream t;
         let fail = !pending in
         if fail < ckpt_end && fail <= work_end then begin
           failures := !failures + 1;
-          count_plan_failure ~max_failures ~checkpoints:!checkpoints !failures;
-          Metrics.add m_lost_work (fail -. t);
-          Metrics.add m_lost_time (fail -. t);
+          if !failures > max_failures then
+            livelock tally ~failures:!failures ~checkpoints:!checkpoints;
+          losses.lost_work <- losses.lost_work +. (fail -. t);
+          losses.lost_time <- losses.lost_time +. (fail -. t);
           interrupted := true;
           fail_at := fail
         end
@@ -302,13 +352,14 @@ let run_plan ?(max_failures = default_max_failures) ~downtime stream plan =
       if not !interrupted then begin
         if ckpt > 0.0 then begin
           if not (!pending > work_end) then
-            pending := query ~checkpoints:!checkpoints stream work_end;
+            pending := query tally ~failures:!failures ~checkpoints:!checkpoints stream work_end;
           let fail = !pending in
           if fail < ckpt_end then begin
             failures := !failures + 1;
-            count_plan_failure ~max_failures ~checkpoints:!checkpoints !failures;
-            Metrics.add m_lost_work work;
-            Metrics.add m_lost_time (fail -. t);
+            if !failures > max_failures then
+              livelock tally ~failures:!failures ~checkpoints:!checkpoints;
+            losses.lost_work <- losses.lost_work +. work;
+            losses.lost_time <- losses.lost_time +. (fail -. t);
             interrupted := true;
             fail_at := fail
           end
@@ -332,7 +383,8 @@ let run_plan ?(max_failures = default_max_failures) ~downtime stream plan =
         while !recovering do
           let r = !resume in
           let finish = r +. recovery in
-          if not (!pending > r) then pending := query ~checkpoints:!checkpoints stream r;
+          if not (!pending > r) then
+            pending := query tally ~failures:!failures ~checkpoints:!checkpoints stream r;
           let fail = !pending in
           if fail >= finish then begin
             recovering := false;
@@ -340,8 +392,9 @@ let run_plan ?(max_failures = default_max_failures) ~downtime stream plan =
           end
           else begin
             failures := !failures + 1;
-            count_plan_failure ~max_failures ~checkpoints:!checkpoints !failures;
-            Metrics.add m_lost_time (fail -. r);
+            if !failures > max_failures then
+              livelock tally ~failures:!failures ~checkpoints:!checkpoints;
+            losses.lost_time <- losses.lost_time +. (fail -. r);
             resume := fail +. downtime
           end
         done
@@ -360,12 +413,10 @@ let run_plan ?(max_failures = default_max_failures) ~downtime stream plan =
       else stop := !j
     done;
     (* Counted before segment [!j] runs: its Livelock and NaN exits
-       flush the count. *)
+       settle the count. *)
     checkpoints := !checkpoints + (!j - i - 1);
     now := !clock;
     next := !j
   done;
-  flush_checkpoints !checkpoints;
-  Metrics.observe m_failures_per_run (float_of_int !failures);
+  finish_run tally ~failures:!failures ~checkpoints:!checkpoints;
   { makespan = !now; failures = !failures }
-

@@ -147,20 +147,44 @@ val compile : segment list -> plan
     executors it takes them as given: {!segment} is where durations are
     validated. *)
 
+type tally
+(** The [sim.*] metrics of any number of {!run_plan} runs, kept by the
+    caller instead of emitted per failure: the [sim.failures] and
+    [sim.checkpoints] counts, the [sim.lost_work] and [sim.lost_time]
+    sums, and the [sim.failures_per_run] bucket counts, total and
+    observation count. Not safe to share between domains. *)
+
+val tally : unit -> tally
+(** An empty tally: zero counts, sums at [0.0]. *)
+
+val flush : tally -> unit
+(** [flush t] adds [t] to the calling domain's current collector in one
+    step. The two sums are added as they stand; they accumulated from
+    [0.0] in the hooked executor's per-failure order, so runs tallied
+    into one tally and flushed once into a fresh collector leave the
+    same bits as the same runs emitting per failure into it (the Monte
+    Carlo pool gives every batch a fresh collector). Flushing a tally
+    per run does not: [S +. (a +. b)] is not [(S +. a) +. b]. *)
+
 val run_plan :
   ?max_failures:int ->
-  downtime:float -> Ckpt_failures.Failure_stream.t -> plan -> run_stats
-(** [run_plan ~downtime stream (compile segments)] equals
+  downtime:float -> tally -> Ckpt_failures.Failure_stream.t -> plan -> run_stats
+(** [run_plan ~downtime tally stream (compile segments)] equals
     [run_segments_stats ~downtime
     ~next_failure:(Failure_stream.next_after stream) segments] bit for
     bit: makespan, failure count, {!Livelock} at the same count, and
-    every [sim.*] metric. It keeps the stream's pending failure time and
-    calls {!Ckpt_failures.Failure_stream.next_after} only when the run's
-    clock reaches it; the streams' query stability makes the skipped
-    queries exact. [sim.lost_work], [sim.lost_time] and [sim.failures]
-    are emitted per failure in the hooked executor's order;
-    [sim.checkpoints] is added once per run, also when {!Livelock} or
-    the NaN check ends the run early.
+    every [sim.*] metric once [tally] is flushed. It keeps the stream's
+    pending failure time and calls
+    {!Ckpt_failures.Failure_stream.next_after} only when the run's clock
+    reaches it; the streams' query stability makes the skipped queries
+    exact.
+
+    It makes no {!Ckpt_obs.Metrics} call: it writes into [tally].
+    [sim.lost_work] and [sim.lost_time] are added per failure in the
+    hooked executor's order; the run's failure and checkpoint counts are
+    added once, when it ends, also when {!Livelock} or the NaN check
+    ends it early; a run that ends normally is also counted in
+    [sim.failures_per_run].
 
     Between failures it walks segments in a loop with no call in it,
     which keeps the clock in a register. The loop commits a segment

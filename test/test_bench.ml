@@ -64,6 +64,49 @@ let test_json_rejects () =
     (Error "line 1, column 11: duplicate object key \"a\"")
     (Result.map ignore (Json.parse_result "{\"a\":1,\"a\":2}"))
 
+let nested_arrays depth = String.make depth '[' ^ String.make depth ']'
+
+let rec nesting = function
+  | Json.List items -> 1 + List.fold_left (fun m v -> max m (nesting v)) 0 items
+  | Json.Obj fields -> 1 + List.fold_left (fun m (_, v) -> max m (nesting v)) 0 fields
+  | _ -> 0
+
+let test_json_depth_bound () =
+  (* A legal 1 MiB ckpt-serve frame: 524,280 nested arrays, which the
+     unbounded parser took about a third of a second to read. *)
+  let deep = nested_arrays 524_280 in
+  let fastest = ref infinity and outcome = ref (Ok Json.Null) in
+  for _ = 1 to 3 do
+    let t0 = Ckpt_obs.Clock.now_ns () in
+    outcome := Json.parse_result deep;
+    fastest := Float.min !fastest (Ckpt_obs.Clock.elapsed_s t0)
+  done;
+  let too_deep column =
+    Error
+      (Printf.sprintf "line 1, column %d: nesting deeper than %d arrays and objects" column
+         Json.max_depth)
+  in
+  Alcotest.(check (result unit string))
+    "rejected at the first bracket past the bound"
+    (too_deep (Json.max_depth + 1))
+    (Result.map ignore !outcome);
+  Alcotest.(check bool) (Printf.sprintf "rejected in %.6f s" !fastest) true (!fastest < 0.01);
+  (* Exactly at the bound, arrays and objects alike; one more level is
+     rejected at its bracket, after [width] bytes per level. *)
+  let objects depth =
+    String.concat "" (List.init (depth - 1) (fun _ -> "{\"k\":"))
+    ^ "[]" ^ String.make (depth - 1) '}'
+  in
+  List.iter
+    (fun (shape, doc, width) ->
+      Alcotest.(check int) (shape ^ " at the bound") Json.max_depth
+        (nesting (Json.parse (doc Json.max_depth)));
+      Alcotest.(check (result unit string))
+        (shape ^ " one level deeper")
+        (too_deep ((width * Json.max_depth) + 1))
+        (Result.map ignore (Json.parse_result (doc (Json.max_depth + 1)))))
+    [ ("arrays", nested_arrays, 1); ("objects", objects, 5) ]
+
 let test_escape_decoding () =
   List.iter
     (fun (text, decoded) ->
@@ -465,6 +508,7 @@ let suite =
     Alcotest.test_case "json: round-trip" `Quick test_json_round_trip;
     Alcotest.test_case "json: number precision" `Quick test_json_number_precision;
     Alcotest.test_case "json: rejects malformed input" `Quick test_json_rejects;
+    Alcotest.test_case "json: nesting depth bound" `Quick test_json_depth_bound;
     Alcotest.test_case "json: escape decoding" `Quick test_escape_decoding;
     QCheck_alcotest.to_alcotest qcheck_json_round_trip;
     Alcotest.test_case "schema: round-trip" `Quick test_schema_round_trip;

@@ -206,8 +206,8 @@ let test_exception_joins_all_domains () =
   let raised =
     try
       ignore
-        (Parallel_exec.estimate ~domains:4 ~runs:2000 ~seed:42L (fun r _rng ->
-             if r >= 700 then raise (Boom r) else 1.0));
+        (Parallel_exec.estimate ~domains:4 ~runs:2000 ~seed:42L
+           (Parallel_exec.per_run (fun r _rng -> if r >= 700 then raise (Boom r) else 1.0)));
       None
     with Boom r -> Some r
   in
@@ -215,7 +215,9 @@ let test_exception_joins_all_domains () =
   | Some r -> Alcotest.(check bool) "failing run index reported" true (r >= 700)
   | None -> Alcotest.fail "expected Boom to propagate");
   (* The pool is not poisoned: a follow-up campaign works and is exact. *)
-  let acc = Parallel_exec.estimate ~domains:4 ~runs:1000 ~seed:42L (fun _ _ -> 2.5) in
+  let acc =
+    Parallel_exec.estimate ~domains:4 ~runs:1000 ~seed:42L (Parallel_exec.per_run (fun _ _ -> 2.5))
+  in
   Alcotest.(check int) "subsequent campaign completes" 1000 (Welford.count acc);
   Alcotest.(check bool) "subsequent campaign correct" true
     (Float.equal 2.5 (Welford.mean acc))
@@ -232,13 +234,16 @@ let test_livelock_propagates () =
       ~next_failure:(Ckpt_failures.Failure_stream.next_after stream)
       [ seg ~work:5.0 ~checkpoint:0.0 ~recovery:2.0 ]
   in
-  match Parallel_exec.estimate ~domains:3 ~runs:50 ~seed:1L sample with
+  match Parallel_exec.estimate ~domains:3 ~runs:50 ~seed:1L (Parallel_exec.per_run sample) with
   | exception Sim_run.Livelock _ -> ()
   | _ -> Alcotest.fail "expected Livelock to propagate through the pool"
 
 let test_more_domains_than_runs () =
   Metrics.reset ();
-  let acc = Parallel_exec.estimate ~domains:8 ~runs:3 ~seed:7L (fun r _ -> float_of_int r) in
+  let acc =
+    Parallel_exec.estimate ~domains:8 ~runs:3 ~seed:7L
+      (Parallel_exec.per_run (fun r _ -> float_of_int r))
+  in
   Alcotest.(check int) "all runs executed" 3 (Welford.count acc);
   Alcotest.(check bool) "mean of 0,1,2" true (Float.equal 1.0 (Welford.mean acc));
   (* One batch sizes the team to one participant: no domain starts
@@ -320,8 +325,23 @@ let test_team_shutdown () =
     (Invalid_argument "Domain_team.run: team already shut down") (fun () ->
       Domain_team.run team ~tasks:1 (fun ~participant:_ _ -> ()))
 
+let test_sampler_reports_each_run () =
+  (* A batch sampler must report one value per run of its batch. *)
+  let reporting k ~first ~last _root report =
+    for _ = first to last + k do
+      report 1.0
+    done
+  in
+  List.iter
+    (fun (k, message) ->
+      Alcotest.check_raises message (Invalid_argument ("Parallel_exec: " ^ message)) (fun () ->
+          ignore (Parallel_exec.estimate ~domains:1 ~runs:300 ~seed:1L (reporting k))))
+    [ (-1, "sampler reported too few runs"); (1, "sampler reported too many runs") ];
+  let acc = Parallel_exec.estimate ~domains:2 ~runs:300 ~seed:1L (reporting 0) in
+  Alcotest.(check int) "one value per run" 300 (Welford.count acc)
+
 let test_invalid_arguments () =
-  let sample _ _ = 0.0 in
+  let sample = Parallel_exec.per_run (fun _ _ -> 0.0) in
   Alcotest.check_raises "zero runs" (Invalid_argument "Parallel_exec: runs must be positive")
     (fun () -> ignore (Parallel_exec.estimate ~runs:0 ~seed:1L sample));
   Alcotest.check_raises "bad domains"
@@ -363,6 +383,8 @@ let suite =
       test_livelock_propagates;
     Alcotest.test_case "more domains than runs" `Quick test_more_domains_than_runs;
     Alcotest.test_case "argument validation" `Quick test_invalid_arguments;
+    Alcotest.test_case "batch sampler reports each run once" `Quick
+      test_sampler_reports_each_run;
     Alcotest.test_case "team runs every index once" `Quick test_team_runs_every_index_once;
     Alcotest.test_case "team re-raises after the round drains" `Quick
       test_team_exception_drains;

@@ -144,6 +144,30 @@ let test_substream_run_equals_label () =
   done;
   List.iter check [ max_int; -1; min_int ]
 
+let test_substream_run_digit_edges () =
+  (* The digits are taken in two parts above 10^17: run indices on both
+     sides of each power of ten, with runs of zeros, through the
+     per-batch prefix too. *)
+  let root = Rng.create ~seed:20121212L in
+  let prefix = Rng.run_prefix root in
+  let check r =
+    let slow = Rng.substream root ("run-" ^ string_of_int r) in
+    List.iter
+      (fun (how, fast) ->
+        if not (Int64.equal (Rng.seed_of fast) (Rng.seed_of slow)) then
+          Alcotest.failf "%s %d differs from substream \"run-%d\"" how r r)
+      [ ("substream_run", Rng.substream_run root r);
+        ("substream_of_prefix", Rng.substream_of_prefix prefix r) ]
+  in
+  let p = ref 1 in
+  for _ = 0 to 18 do
+    List.iter
+      (fun r -> check r; check (-r))
+      [ !p - 1; !p; !p + 1; 7 * !p; (!p * 10) - 1 ];
+    p := !p * 10
+  done;
+  List.iter check [ 100_000_000_000_000_007; 4_000_000_000_000_000_000; max_int - 1; min_int + 1 ]
+
 let test_xoshiro_pinned () =
   (* The first outputs of seed 0, pinned: the state layout may change,
      the sequence may not (every seeded table depends on it). *)
@@ -191,6 +215,8 @@ let suite =
     Alcotest.test_case "xoshiro pinned outputs" `Quick test_xoshiro_pinned;
     Alcotest.test_case "substream_run = labelled substream" `Quick
       test_substream_run_equals_label;
+    Alcotest.test_case "substream_run at the digit edges" `Quick
+      test_substream_run_digit_edges;
     Alcotest.test_case "float ranges" `Quick test_float_range_unit;
     Alcotest.test_case "float uniformity" `Quick test_float_uniformity;
     Alcotest.test_case "int bounds and coverage" `Quick test_int_bounds;

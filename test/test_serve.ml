@@ -585,6 +585,23 @@ let test_server_protocol_errors () =
           Alcotest.(check string) "oversized_frame" "oversized_frame"
             (error_code (raw_recv raw))))
 
+let test_server_deep_frame () =
+  (* 524,280 nested arrays fill a legal 1 MiB frame. The event loop
+     answers it like any malformed frame and keeps the connection. *)
+  with_server Server.default_config (fun server ->
+      let raw = raw_connect (Server.port server) in
+      Fun.protect ~finally:(fun () -> Net.close raw.fd) (fun () ->
+          let depth = 524_280 in
+          let frame = String.make depth '[' ^ String.make depth ']' in
+          Alcotest.(check bool) "frame fits" true
+            (String.length frame <= Framing.default_max_frame);
+          Alcotest.(check bool) "send the nested frame" true
+            (Net.write_all raw.fd (Framing.encode frame));
+          let response = raw_recv raw in
+          Alcotest.(check string) "parse_error" "parse_error" (error_code response);
+          raw_send_request raw (request "after" "ping");
+          Alcotest.(check string) "still alive" "after" (response_id (raw_recv raw))))
+
 (* Deterministic worker gate: the hook parks every worker until the test
    opens the gate, so queue occupancy is fully controlled. *)
 let make_gate () =
@@ -729,6 +746,7 @@ let suite =
     Alcotest.test_case "net: TCP_NODELAY on both ends" `Quick test_net_nodelay;
     Alcotest.test_case "server: end-to-end bit-for-bit" `Quick test_server_end_to_end;
     Alcotest.test_case "server: protocol errors" `Quick test_server_protocol_errors;
+    Alcotest.test_case "server: deeply nested frame" `Quick test_server_deep_frame;
     Alcotest.test_case "server: queue backpressure" `Quick test_server_backpressure;
     Alcotest.test_case "server: stop drains under load" `Quick
       test_server_stop_drains_under_load;

@@ -380,7 +380,7 @@ let test_run_on_trace () =
     Ckpt_failures.Trace.of_times ~horizon:100.0 [| 4.0 |]
   in
   let stats =
-    Sim_run.run_plan ~downtime:0.5
+    Sim_run.run_plan ~downtime:0.5 (Sim_run.tally ())
       (Ckpt_failures.Trace.to_stream trace)
       (Sim_run.compile [ seg ~work:10.0 ~checkpoint:1.0 ~recovery:2.0 ])
   in
@@ -652,7 +652,12 @@ let check_against_oracle ?max_failures name ~downtime ~make_stream segments =
   in
   let compiled, compiled_rows =
     observed (fun () ->
-        Sim_run.run_plan ?max_failures ~downtime (make_stream ()) (Sim_run.compile segments))
+        let tally = Sim_run.tally () in
+        Fun.protect
+          ~finally:(fun () -> Sim_run.flush tally)
+          (fun () ->
+            Sim_run.run_plan ?max_failures ~downtime tally (make_stream ())
+              (Sim_run.compile segments)))
   in
   Alcotest.(check string) (name ^ ": outcome") (describe oracle) (describe compiled);
   Alcotest.(check (list (pair string string))) (name ^ ": sim.* rows") oracle_rows compiled_rows
@@ -733,6 +738,65 @@ let test_run_plan_matches_oracle () =
           ~make_stream segments)
       sources
   done
+
+(* One tally across many runs, flushed once into a fresh collector,
+   leaves the rows of the same runs emitting per failure into one
+   collector: the sums accumulate across runs in one per-failure order.
+   300 runs, more than a 256-run pool batch, on the random plans (zero
+   durations and downtimes); every tenth run has a failure bound of 0-2,
+   so some end in Livelock, and every 25th ends in a NaN work segment,
+   whose checkpoint query the Poisson stream answers with NaN. *)
+let test_run_plan_one_tally_many_runs () =
+  let runs =
+    List.init 300 (fun case ->
+        let rng = Rng.substream (Rng.create ~seed:2027L) (Printf.sprintf "tally-%d" case) in
+        let segments, downtime = random_plan rng in
+        let segments =
+          if case mod 25 = 24 then
+            segments @ [ { Sim_run.work = Float.nan; checkpoint = 1.0; recovery = 0.1 } ]
+          else segments
+        in
+        let max_failures = if case mod 10 = 9 then Some (Rng.int rng 3) else None in
+        let rate = Rng.float_range rng 0.05 0.5 and seed = Rng.int64 rng in
+        (segments, downtime, max_failures, fun () -> Failure_stream.poisson ~rate (Rng.create ~seed)))
+  in
+  let outcome f =
+    match f () with
+    | stats -> Finished stats
+    | exception Sim_run.Livelock n -> Livelocked n
+    | exception Invalid_argument msg -> Rejected msg
+  in
+  let oracle = Metrics.create_collector () in
+  let oracle_outcomes =
+    Metrics.with_collector oracle (fun () ->
+        List.map
+          (fun (segments, downtime, max_failures, make_stream) ->
+            outcome (fun () ->
+                let stream = make_stream () in
+                Sim_run.run_segments_emitting ?max_failures ~emit:ignore ~downtime
+                  ~next_failure:(Failure_stream.next_after stream)
+                  segments))
+          runs)
+  in
+  let tally = Sim_run.tally () in
+  let compiled_outcomes =
+    List.map
+      (fun (segments, downtime, max_failures, make_stream) ->
+        outcome (fun () ->
+            Sim_run.run_plan ?max_failures ~downtime tally (make_stream ())
+              (Sim_run.compile segments)))
+      runs
+  in
+  let compiled = Metrics.create_collector () in
+  Metrics.with_collector compiled (fun () -> Sim_run.flush tally);
+  let count p = List.length (List.filter p oracle_outcomes) in
+  Alcotest.(check bool)
+    "the runs include Livelock and NaN exits" true
+    (count (function Livelocked _ -> true | _ -> false) > 0
+    && count (function Rejected _ -> true | _ -> false) > 0);
+  Alcotest.(check (list string))
+    "outcomes" (List.map describe oracle_outcomes) (List.map describe compiled_outcomes);
+  Alcotest.(check (list (pair string string))) "sim.* rows" (sim_rows oracle) (sim_rows compiled)
 
 (* Long plans, 50-400 segments, so the failure-free stretches between
    failures run long. Work and checkpoint are each zero a tenth of the
@@ -830,7 +894,7 @@ let test_run_plan_unvalidated_segment () =
       match
         fst
           (observed (fun () ->
-               Sim_run.run_plan ~max_failures ~downtime (make_stream ())
+               Sim_run.run_plan ~max_failures ~downtime (Sim_run.tally ()) (make_stream ())
                  (Sim_run.compile segments)))
       with
       | Livelocked _ -> ()
@@ -851,7 +915,8 @@ let test_run_plan_nan_rejected () =
   Alcotest.check_raises "the compiled executor raises too"
     (Invalid_argument "Sim_run: next_failure returned NaN") (fun () ->
       ignore
-        (Sim_run.run_plan ~downtime:0.5 (make_stream ()) (Sim_run.compile segments)))
+        (Sim_run.run_plan ~downtime:0.5 (Sim_run.tally ()) (make_stream ())
+           (Sim_run.compile segments)))
 
 let test_run_plan_allocation_flat () =
   (* No allocation per segment: a failure-free run of 10,000 segments
@@ -862,10 +927,11 @@ let test_run_plan_allocation_flat () =
         (List.init n (fun i ->
              seg ~work:(1.0 +. float_of_int i) ~checkpoint:0.5 ~recovery:0.25))
     in
-    ignore (Sim_run.run_plan ~downtime:1.0 (Failure_stream.of_times [||]) plan);
+    let tally = Sim_run.tally () in
+    ignore (Sim_run.run_plan ~downtime:1.0 tally (Failure_stream.of_times [||]) plan);
     let stream = Failure_stream.of_times [||] in
     let before = Gc.minor_words () in
-    ignore (Sim_run.run_plan ~downtime:1.0 stream plan);
+    ignore (Sim_run.run_plan ~downtime:1.0 tally stream plan);
     Gc.minor_words () -. before
   in
   let w10 = words 10 and w10k = words 10_000 in
@@ -948,6 +1014,42 @@ let test_campaign_pinned () =
             (name ^ ": sim.* rows") expected_rows (sim_rows collector))
         [ 1; 3 ])
     history
+
+(* The adaptive path, as mc-sweep runs it: the every-8 plan in rounds
+   starting at runs 64, 128, 256, ..., 2048. The target is out of reach,
+   so all seven rounds run. Recorded before run_plan tallied a batch and
+   flushed it once. With a 64-run first round every round boundary lies
+   on the batch grid, and the values equal the fixed-size campaign's
+   above; a 100-run first round moves sim.lost_time's last bit. *)
+let test_adaptive_campaign_pinned () =
+  let segments = history_segments 8 in
+  List.iter
+    (fun domains ->
+      let collector = Metrics.create_collector () in
+      let e =
+        Metrics.with_collector collector (fun () ->
+            Monte_carlo.estimate_segments ~domains ~target_ci:1e-9 ~max_runs:4096
+              ~model:(Monte_carlo.Poisson_rate history_lambda) ~downtime:history_downtime
+              ~runs:64 ~rng:(Rng.create ~seed:8L) segments)
+      in
+      let name = Printf.sprintf "adaptive every-8 on %d domains" domains in
+      Alcotest.(check int) (name ^ ": runs") 4096 e.Monte_carlo.runs;
+      Alcotest.(check string) (name ^ ": estimate")
+        "mean 0x1.0e44cedd27e14p+10, stddev 0x1.10c8a9c878098p+6, min 0x1.f74012d7668f8p+9, \
+         max 0x1.6dc4d3b91e20fp+10"
+        (Printf.sprintf "mean %h, stddev %h, min %h, max %h" e.Monte_carlo.mean
+           e.Monte_carlo.stddev e.Monte_carlo.min e.Monte_carlo.max);
+      Alcotest.(check (list (pair string string)))
+        (name ^ ": sim.* rows")
+        [
+          ("sim.checkpoints", "53248");
+          ("sim.failures", "6621");
+          ("sim.failures_per_run", "892,1275,1014,873,42,0,0,0,0 / 0x1.9ddp+12 / 4096");
+          ("sim.lost_time", "0x1.f1cb7e1293f44p+17");
+          ("sim.lost_work", "0x1.f10829c1ab7a4p+17");
+        ]
+        (sim_rows collector))
+    [ 1; 3 ]
 
 (* --- command-line tools on bad input ------------------------------------ *)
 
@@ -1036,7 +1138,11 @@ let suite =
       test_run_plan_long_plans;
     Alcotest.test_case "compiled executor = oracle (unvalidated segment)" `Quick
       test_run_plan_unvalidated_segment;
+    Alcotest.test_case "compiled executor = oracle (one tally, many runs)" `Quick
+      test_run_plan_one_tally_many_runs;
     Alcotest.test_case "campaign pinned to history" `Quick test_campaign_pinned;
+    Alcotest.test_case "adaptive campaign pinned to history" `Quick
+      test_adaptive_campaign_pinned;
     Alcotest.test_case "lost-work/lost-time split (segments)" `Quick
       test_lost_accounting_segments;
     Alcotest.test_case "lost-work/lost-time split (chain)" `Quick
