@@ -63,12 +63,18 @@ let smoke_tasks k n =
       let recovery = 0.2 +. float_of_int (((i + 5) * (k + 2) * 1299709) mod 17) /. 31.0 in
       (work, checkpoint, recovery))
 
+(* Instance 4 fails the certificate only at row 0 (R0 = 0 below a first
+   recovery above its work), instance 9 at a checkpoint cliff. *)
 let smoke_instance k =
   let n = 5 + ((k * 11) mod 28) in
   let lambda = 0.005 +. (float_of_int (k + 1) /. 200.0) in
   let downtime = float_of_int (k mod 3) /. 10.0 in
   let initial_recovery = float_of_int (k mod 4) /. 8.0 in
-  (lambda, downtime, initial_recovery, smoke_tasks k n)
+  let cliff i (w, c, r) =
+    if k = 4 && i = 0 then (w, c, w +. 1.0) else if k = 9 && i = n / 2 then (w, c +. 20.0, r)
+    else (w, c, r)
+  in
+  (lambda, downtime, initial_recovery, List.mapi cliff (smoke_tasks k n))
 
 let chain_params (lambda, downtime, initial_recovery, tasks) =
   Json.Obj

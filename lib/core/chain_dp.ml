@@ -32,37 +32,97 @@ let schedule_of_choice_fn problem choice =
   mark 0;
   Schedule.make problem placement
 
-let schedule_of_choices problem choices =
-  schedule_of_choice_fn problem (Array.get choices)
-
-let solution_of problem value choice =
+let solution_of problem (value, choice) =
   {
     expected_makespan = T.fget value 0;
     schedule = schedule_of_choice_fn problem (T.iget choice);
   }
 
-(* value.(x) = optimal expected time for the suffix x..n-1;
-   choice.(x) = index of the last task of its first segment. Both live
-   in flat Bigarray SoA tables (Dp_tables) so million-task solves stay
-   off the OCaml heap; each row is one Segment_cost.row_min scan, whose
-   loop evaluates the transition inline, and bounds are established by
-   the loop structure, so the scan carries no per-call validation. *)
-let sweep problem =
-  let n = Chain_problem.size problem in
-  let kernel = Chain_problem.kernel problem in
-  let value = T.floats (n + 1) in
-  let choice = T.ints n in
-  for x = n - 1 downto 0 do
-    Metrics.incr m_states;
-    Metrics.incr ~by:(n - x) m_transitions;
-    T.iset choice x
-      (Segment_cost.row_min kernel ~next:value ~row:x ~lo:x ~hi:(n - 1) ~into:value ~at:x)
+let default_block = 256
+
+(* The one fill of a chain DP plane: into.{x} = min over j in [x, n−1]
+   of cost(x, j) + next.{j + 1}, choice.{x} its leftmost argmin, for
+   every row x < n; [into] may be [next] (the unconstrained DP), and
+   into.{n} is the caller's. The certified suffix, rows [from, n−1],
+   runs the blocked SMAWK of docs/KERNELS.md: blocks of [block] rows
+   anchored at [from], right to left, each one far combine over the
+   decision window [up+1, hi] of final values and then an intra-block
+   divide and conquer; the window then shrinks to hi = choice.{lo},
+   exact because leftmost argmins are non-decreasing under the
+   certificate. O(n log block + Σ window spans) evaluations — linear on
+   checkpoint instances — on one O(block)-word workspace. Rows below
+   [from] are one row_min scan each, last, as a row reads every row
+   above it; from = n is the O(n²) sweep. *)
+let fill ?(block = default_block) kernel ~next ~into ~choice ~from =
+  let n = Segment_cost.size kernel in
+  let evals =
+    if from = n then 0
+    else begin
+      let ws = Segment_cost.workspace ~rows:(Stdlib.min block (n - from)) in
+      let minima = Segment_cost.minima ws and argmins = Segment_cost.argmins ws in
+      (* Fold a combine's row minima into [into], the rows' best so far.
+         Strictly better, or equal with a smaller index, makes the final
+         choice the leftmost argmin whatever order the combines ran in:
+         row_min's left-to-right scan. *)
+      let combine ~first ~rows ~lo ~hi =
+        Segment_cost.row_minima kernel ws ~next ~first ~rows ~lo ~hi;
+        for i = 0 to rows - 1 do
+          let r = first + i and v = T.fget minima i and j = T.iget argmins i in
+          let bv = T.fget into r in
+          if v < bv || (Float.equal v bv && j < T.iget choice r) then begin
+            T.fset into r v;
+            T.iset choice r j
+          end
+        done
+      in
+      (* Rows [a, b], right half first: a row's last combine is its
+         leaf, so the right half is final before a combine reads it. *)
+      let rec solve_block a b =
+        if a = b then combine ~first:a ~rows:1 ~lo:a ~hi:a
+        else begin
+          let m = (a + b) / 2 in
+          solve_block (m + 1) b;
+          combine ~first:a ~rows:(m - a + 1) ~lo:m ~hi:b;
+          solve_block a m
+        end
+      in
+      (* Rows fold from infinity; choices start past every decision, so
+         a row whose minimum is infinity keeps its own index (the leaf
+         decision), as row_min does. *)
+      Bigarray.Array1.(fill (sub into from (n - from)) infinity);
+      Bigarray.Array1.(fill (sub choice from (n - from)) n);
+      let hi = ref (n - 1) and l = ref (from + ((n - 1 - from) / block * block)) in
+      while !l >= from do
+        let lo = !l in
+        let up = Stdlib.min (n - 1) (lo + block - 1) in
+        if up + 1 <= !hi then combine ~first:lo ~rows:(up - lo + 1) ~lo:(up + 1) ~hi:!hi;
+        solve_block lo up;
+        hi := T.iget choice lo;
+        l := lo - block
+      done;
+      Segment_cost.evaluations ws
+    end
+  in
+  for x = from - 1 downto 0 do
+    T.iset choice x (Segment_cost.row_min kernel ~next ~row:x ~lo:x ~hi:(n - 1) ~into ~at:x)
   done;
+  (* Row x's scan evaluates its n − x decisions. *)
+  let scans = (from * n) - (from * (from - 1) / 2) in
+  Metrics.incr ~by:n m_states;
+  Metrics.incr ~by:(n - from) m_smawk_states;
+  Metrics.incr ~by:(evals + scans) m_transitions;
+  Metrics.incr ~by:evals m_smawk_transitions
+
+(* value.{x} = optimal expected time for the suffix x..n−1 (value.{n}
+   = 0); choice.{x} = index of the last task of its first segment. Flat
+   off-heap Dp_tables, so million-task solves stay off the OCaml heap. *)
+let tables ?block problem ~from =
+  let n = Chain_problem.size problem in
+  let value = T.floats (n + 1) and choice = T.ints n in
+  fill ?block (Chain_problem.kernel problem) ~next:value ~into:value ~choice ~from;
   (value, choice)
 
-let solve problem =
-  let value, choice = sweep problem in
-  solution_of problem value choice
+let solve problem = solution_of problem (tables problem ~from:(Chain_problem.size problem))
 
 (* Faithful transcription of Algorithm 1 (DPMAKESPAN), with 0-based
    indices: DPMAKESPAN(x) treats tasks x..n-1 and returns the couple
@@ -111,9 +171,7 @@ let solve_memoized problem =
   in
   let expected_makespan, _ = dpmakespan 0 in
   let choice = Array.init n (fun x -> snd (dpmakespan x)) in
-  { expected_makespan; schedule = schedule_of_choices problem choice }
-
-let dp_values problem = T.to_float_array (fst (sweep problem))
+  { expected_makespan; schedule = schedule_of_choice_fn problem (Array.get choice) }
 
 (* --- Monotone divide-and-conquer solver ----------------------------- *)
 
@@ -184,145 +242,68 @@ let solve_dc problem =
       end
     in
     rec_solve 0 (n - 1);
-    solution_of problem value choice
+    solution_of problem (value, choice)
   end
 
 (* --- SMAWK linear-transition solver --------------------------------- *)
 
-(* Fold one combine's row minima (rows first .. first + rows − 1, read
-   from the SMAWK workspace) into the global tables. The tie rule
-   (strictly better, or equal with a smaller index) makes the final
-   choice the globally leftmost argmin whatever order the combines ran
-   in — `solve`'s single left-to-right scan semantics, and one rule
-   solve_dc's plain `<` fold does not guarantee. *)
-let fold_rows ws best choice ~first ~rows =
-  let minima = Segment_cost.minima ws and argmins = Segment_cost.argmins ws in
-  for i = 0 to rows - 1 do
-    let r = first + i in
-    let v = T.fget minima i and j = T.iget argmins i in
-    let bv = T.fget best r in
-    if v < bv || (Float.equal v bv && j < T.iget choice r) then begin
-      T.fset best r v;
-      T.iset choice r j
-    end
-  done
-
-let combine kernel ws value best choice ~first ~rows ~lo ~hi =
-  Segment_cost.row_minima kernel ws ~next:value ~first ~rows ~lo ~hi;
-  fold_rows ws best choice ~first ~rows
-
-(* Intra-block decisions of states [a, b]: the solve_dc recursion with
-   SMAWK combines, right half first so value is final on the columns
-   each combine reads. *)
-let rec solve_block kernel ws value best choice a b =
-  if a = b then begin
-    combine kernel ws value best choice ~first:a ~rows:1 ~lo:a ~hi:a;
-    T.fset value a (T.fget best a)
-  end
-  else begin
-    let m = (a + b) / 2 in
-    solve_block kernel ws value best choice (m + 1) b;
-    combine kernel ws value best choice ~first:a ~rows:(m - a + 1) ~lo:m ~hi:b;
-    solve_block kernel ws value best choice a m
-  end
-
-(* Blocked SMAWK chain solve; see docs/KERNELS.md for the sketch. The
-   DP is "online" (f(x, j) needs the already-final value.(j+1)), which
-   plain SMAWK cannot handle; blocks of [block] states processed right
-   to left restore an offline shape: one far combine over the block's
-   rows × the decision window [up+1, hi] (all values final), then an
-   intra-block divide and conquer mirroring solve_dc's but with SMAWK
-   row minima. After a block, the window shrinks to hi = choice.(lo) —
-   exact, because leftmost argmins are non-decreasing in x under the
-   certificate. Total evaluations: O(n log block + Σ window spans),
-   linear in n for the checkpoint instances (optimal segment lengths
-   grow like √n, so windows stay narrow — the bench linearity gate
-   pins this). Every combine runs on one workspace of O(block) words
-   allocated here, so the solve allocates nothing per state. *)
-let solve_smawk ?(verify = true) ?(block = 256) problem =
+(* The fill from the lowest certified row; a plan whose certificate
+   leaves rows to the scan counts one dp.smawk_fallbacks. *)
+let smawk_tables ?(verify = true) ?(block = default_block) problem =
   if block < 2 then invalid_arg "Chain_dp.solve_smawk: block must be >= 2";
-  let n = Chain_problem.size problem in
-  let kernel = Chain_problem.kernel problem in
-  if verify && not (Segment_cost.supports_monotone_dc kernel) then begin
-    (* Same certificate as solve_dc: without total monotonicity SMAWK's
-       pruning is unsound, so fall back to the exhaustive sweep. *)
-    Metrics.incr m_smawk_fallbacks;
-    solve problem
-  end
-  else begin
-    let value = T.floats (n + 1) in
-    let best = T.floats ~init:infinity n in
-    let choice = T.ints n in
-    let ws = Segment_cost.workspace ~rows:(Stdlib.min block n) in
-    let hi = ref (n - 1) in
-    let l = ref ((n - 1) / block * block) in
-    while !l >= 0 do
-      let lo = !l in
-      let up = Stdlib.min (n - 1) (lo + block - 1) in
-      (* Far decisions [up+1, hi]: value.(j+1) final for all of them. *)
-      if up + 1 <= !hi then
-        combine kernel ws value best choice ~first:lo ~rows:(up - lo + 1) ~lo:(up + 1) ~hi:!hi;
-      solve_block kernel ws value best choice lo up;
-      hi := T.iget choice lo;
-      l := lo - block
-    done;
-    let evals = Segment_cost.evaluations ws in
-    Metrics.incr ~by:n m_states;
-    Metrics.incr ~by:n m_smawk_states;
-    Metrics.incr ~by:evals m_transitions;
-    Metrics.incr ~by:evals m_smawk_transitions;
-    solution_of problem value choice
-  end
+  let from =
+    if verify then Segment_cost.certified_from (Chain_problem.kernel problem) else 0
+  in
+  if from > 0 then Metrics.incr m_smawk_fallbacks;
+  tables ~block problem ~from
+
+let solve_smawk ?verify ?block problem =
+  solution_of problem (smawk_tables ?verify ?block problem)
 
 let plan problem = solve_smawk problem
+let dp_values problem = T.to_float_array (fst (smawk_tables problem))
 
-(* value.(k·(n+1) + x): optimal expectation for the suffix x..n-1 using
-   exactly k further checkpoints; infinity when infeasible. Flat SoA
-   layout (row-major in k) like the other solvers. *)
-let budget_tables problem max_k =
+(* The storage-budget DP: plane k holds, per suffix, the optimal
+   expectation with exactly k further checkpoints (infinity when fewer
+   than k tasks remain), one fill from plane k − 1. Two value planes
+   are live; plane k's choices go to [choices k], and [visit k plane]
+   sees each plane once it is final. *)
+let budget_planes problem ~planes ~choices ~visit =
   let n = Chain_problem.size problem in
   let kernel = Chain_problem.kernel problem in
-  let width = n + 1 in
-  let value = T.floats ~init:infinity ((max_k + 1) * width) in
-  let choice = T.ints ((max_k + 1) * n) in
-  T.fset value n 0.0;
-  let plane k = Bigarray.Array1.sub value (k * width) width in
-  for k = 1 to max_k do
-    (* An infeasible suffix has value infinity in plane k − 1, so its
-       transitions are infinite and never win the strict-< scan. *)
-    let next = plane (k - 1) and into = plane k in
-    for x = n - 1 downto 0 do
-      Metrics.incr m_states;
-      Metrics.incr ~by:(n - x) m_transitions;
-      T.iset choice ((k * n) + x)
-        (Segment_cost.row_min kernel ~next ~row:x ~lo:x ~hi:(n - 1) ~into ~at:x)
-    done
-  done;
-  (value, choice, width)
+  let from = Segment_cost.certified_from kernel in
+  let value = Array.init 2 (fun _ -> T.floats ~init:infinity (n + 1)) in
+  T.fset value.(0) n 0.0;
+  for k = 1 to planes do
+    let into = value.(k land 1) in
+    T.fset into n infinity;
+    fill kernel ~next:value.(1 - (k land 1)) ~into ~choice:(choices k) ~from;
+    visit k into
+  done
 
 let solve_with_budget problem ~checkpoints =
   let n = Chain_problem.size problem in
   if checkpoints < 1 || checkpoints > n then
     invalid_arg "Chain_dp.solve_with_budget: need 1 <= checkpoints <= n";
-  let value, choice, width = budget_tables problem checkpoints in
-  let placement = Array.make n false in
-  let rec mark k x =
-    if x < n then begin
-      let j = T.iget choice ((k * n) + x) in
-      placement.(j) <- true;
-      mark (k - 1) (j + 1)
-    end
+  let choice = T.ints (checkpoints * n) in
+  let plane k = Bigarray.Array1.sub choice ((k - 1) * n) n in
+  let expected_makespan = ref infinity in
+  budget_planes problem ~planes:checkpoints ~choices:plane ~visit:(fun _ value ->
+      expected_makespan := T.fget value 0);
+  (* Segments come in order, each leaving one checkpoint fewer. *)
+  let left = ref (checkpoints + 1) in
+  let next_choice x =
+    decr left;
+    T.iget (plane !left) x
   in
-  mark checkpoints 0;
-  {
-    expected_makespan = T.fget value (checkpoints * width);
-    schedule = Schedule.make problem placement;
-  }
+  { expected_makespan = !expected_makespan; schedule = schedule_of_choice_fn problem next_choice }
 
 let budget_curve problem =
   let n = Chain_problem.size problem in
-  let value, _, width = budget_tables problem n in
-  List.init n (fun i -> (i + 1, T.fget value ((i + 1) * width)))
+  let choice = T.ints n and curve = ref [] in
+  budget_planes problem ~planes:n ~choices:(fun _ -> choice) ~visit:(fun k value ->
+      curve := (k, T.fget value 0) :: !curve);
+  List.rev !curve
 
 let first_segment_end problem =
   match Schedule.checkpoint_indices (plan problem).schedule with

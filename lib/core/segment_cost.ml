@@ -129,22 +129,21 @@ let reference_cost t ~first ~last =
     ~checkpoint:t.checkpoint_costs.(last) ~downtime:t.downtime
     ~recovery:t.recovery_costs.(first) ~lambda:t.lambda
 
-let supports_monotone_dc t =
-  t.tables
-  &&
+(* Index i fails when a(x) grows from row i to i + 1 (R_(i+1) − R_i >
+   w_i) or E(j) shrinks from column i to i + 1 (C_(i+1) − C_i <
+   −w_(i+1)). Scanning down, the first failure is the last index. *)
+let certified_from t =
   let n = size t in
-  let ok = ref true in
-  for i = 0 to n - 2 do
-    let w_next = t.prefix_work.(i + 2) -. t.prefix_work.(i + 1) in
-    (* a(x) non-increasing: R_x − R_(x−1) ≤ w_x, i.e. the recovery table
-       may only grow as fast as the work separating two starts. *)
-    if t.recovery_costs.(i + 1) -. t.recovery_costs.(i)
-       > t.prefix_work.(i + 1) -. t.prefix_work.(i)
-    then ok := false;
-    (* E(j) non-decreasing: C_(j+1) − C_j ≥ −w_(j+1). *)
-    if t.checkpoint_costs.(i + 1) -. t.checkpoint_costs.(i) < -.w_next then ok := false
-  done;
-  !ok
+  let fails i =
+    t.recovery_costs.(i + 1) -. t.recovery_costs.(i)
+    > t.prefix_work.(i + 1) -. t.prefix_work.(i)
+    || t.checkpoint_costs.(i + 1) -. t.checkpoint_costs.(i)
+       < -.(t.prefix_work.(i + 2) -. t.prefix_work.(i + 1))
+  in
+  let rec down i = if i < 0 then 0 else if fails i then i + 1 else down (i - 1) in
+  if t.tables then down (n - 2) else n
+
+let supports_monotone_dc t = certified_from t = 0
 
 (* --- Bulk evaluation: the DP transition in its loops ----------------- *)
 

@@ -121,8 +121,8 @@ val row_minima :
   t -> workspace -> next:Dp_tables.floats -> first:int -> rows:int -> lo:int -> hi:int -> unit
 (** SMAWK row minima of the transition matrix restricted to rows
     [first .. first + rows - 1] and decisions [lo .. hi] — O(rows +
-    columns) evaluations when the matrix is totally monotone (the
-    {!supports_monotone_dc} certificate). Writes row [first + i]'s
+    columns) evaluations when the matrix is totally monotone (rows at
+    or above {!certified_from}). Writes row [first + i]'s
     minimum to [(minima ws).{i}] and its leftmost argmin to
     [(argmins ws).{i}], and adds the evaluations made to
     {!evaluations}. Rows are (first, stride, count) progressions and
@@ -162,21 +162,21 @@ val overflow_cutoff : float
 (** The wholesale-fallback bound on [λ·(total_work + max C)]
     (currently 690, safely below [log max_float] ≈ 709.78). *)
 
-val supports_monotone_dc : t -> bool
-(** Whether the divide-and-conquer chain solver may be used on this
-    kernel. The transition cost decomposes as
-    [c(x, j) = a(x)·E(j) − pre.(x)] with
+val certified_from : t -> int
+(** The first row of the certified suffix: the smallest [r] such that
+    the DP matrix on rows and decisions [r .. n−1] is inverse-Monge, so
+    leftmost argmins are non-decreasing in the suffix start (the total
+    monotonicity SMAWK needs). With [c(x, j) = a(x)·E(j) − pre.(x)],
     [a(x) = pre.(x)·e^(−λ·prefix(x))] and
-    [E(j) = e^(λ·(prefix(j+1) + C_j))]; when [a] is non-increasing and
-    [E] non-decreasing the DP matrix is inverse-Monge and the optimal
-    first-checkpoint index is monotone in the suffix start. Checked
-    exactly on the raw durations (it reduces to
-    [R_x − R_(x−1) ≤ w_x] and [C_(j+1) − C_j ≥ −w_(j+1)] per index,
-    violated only when a checkpoint or recovery cost jumps by more than
-    a task weight). Row 0 compares the first task's recovery cost R
-    with the initial recovery R0, so a chain of identical tasks passes
-    only when R − R0 ≤ w: {!Chain_problem.make} defaults R0 to 0 and
-    fails such a chain whenever R > w, while {!Chain_problem.uniform}
-    defaults R0 to R. Also [false] when
-    {!uses_tables} is [false]: in the overflow regime segment costs
-    saturate to [infinity] and ties break the monotonicity argument. *)
+    [E(j) = e^(λ·(prefix(j+1) + C_j))], index [i] checks exactly on the
+    raw durations that [R_(i+1) − R_i ≤ w_i] and
+    [C_(i+1) − C_i ≥ −w_(i+1)], which fail only where a recovery or
+    checkpoint cost jumps by more than a task weight; the result is one
+    past the last failing index. Row 0 compares the first recovery R
+    with R0, which {!Chain_problem.make} defaults to 0 (identical tasks
+    with R > w are certified from row 1) and {!Chain_problem.uniform}
+    to R. [n] when {!uses_tables} is [false]: saturated costs tie and
+    break the argument. *)
+
+val supports_monotone_dc : t -> bool
+(** [certified_from t = 0]: the whole matrix is certified. *)

@@ -71,42 +71,24 @@ let save t path =
         t.nodes)
 
 let load path =
-  let ic = open_in path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () ->
-      let fail fmt = Printf.ksprintf (fun msg -> failwith ("Cluster_log.load: " ^ msg)) fmt in
-      let line () = try Some (input_line ic) with End_of_file -> None in
-      (match line () with
-      | Some "# ckpt-workflows cluster log v1" -> ()
-      | _ -> fail "bad magic header in %s" path);
-      let field name =
-        match line () with
-        | Some l when String.length l > String.length name
-                      && String.sub l 0 (String.length name) = name ->
-            String.sub l (String.length name + 1) (String.length l - String.length name - 1)
-        | _ -> fail "missing field %s" name
+  Text_log.with_file path ~magic:"# ckpt-workflows cluster log v1" (fun r ->
+      let horizon = Text_log.horizon r in
+      let description = Text_log.field r "description" in
+      let n = Text_log.count r "nodes" (Text_log.field r "nodes") in
+      let node i =
+        match Option.map (fun l -> String.split_on_char ' ' (String.trim l)) (Text_log.line r) with
+        | None -> Text_log.fail r "truncated log: expected %d nodes, got %d" n i
+        | Some ("node" :: id :: count :: times) ->
+            let node_id = Text_log.count r "node id" id in
+            let count = Text_log.count r "failure count" count in
+            if List.length times <> count then
+              Text_log.fail r "node %d: expected %d times, got %d" node_id count
+                (List.length times);
+            let after = ref 0.0 in
+            let time s = after := Text_log.time r ~horizon ~after:!after s; !after in
+            { node_id; failure_times = Array.map time (Array.of_list times) }
+        | Some _ -> Text_log.fail r "malformed node line"
       in
-      let horizon = float_of_string (field "horizon") in
-      if not (horizon > 0.0 && Float.is_finite horizon) then
-        fail "horizon must be positive and finite";
-      let description = field "description" in
-      let n = int_of_string (field "nodes") in
-      let nodes =
-        Array.init n (fun i ->
-            match line () with
-            | None -> fail "truncated log: expected %d nodes, got %d" n i
-            | Some l -> begin
-                match String.split_on_char ' ' (String.trim l) with
-                | "node" :: id :: count :: rest ->
-                    let node_id = int_of_string id in
-                    let count = int_of_string count in
-                    let times = List.map float_of_string rest in
-                    if List.length times <> count then
-                      fail "node %d: expected %d times, got %d" node_id count
-                        (List.length times);
-                    { node_id; failure_times = Array.of_list times }
-                | _ -> fail "malformed node line: %s" l
-              end)
-      in
-      { nodes; horizon; description })
+      (* Nodes are read as they come: a claimed count sizes nothing. *)
+      let rec read acc i = if i = n then List.rev acc else read (node i :: acc) (i + 1) in
+      { nodes = Array.of_list (read [] 0); horizon; description })

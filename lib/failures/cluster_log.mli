@@ -40,4 +40,8 @@ val node_mtbf : t -> float array
 (** Empirical MTBF per node ([infinity] for failure-free nodes). *)
 
 val save : t -> string -> unit
+
 val load : string -> t
+(** Parse a file produced by {!save}. Raises [Failure "path:line:
+    message"] on a bad count, a time out of order or not in
+    [\[0, horizon\]], or a truncated file. *)

@@ -57,31 +57,20 @@ let save t path =
       Array.iter (fun time -> Printf.fprintf oc "%.17g\n" time) t.times)
 
 let load path =
-  let ic = open_in path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () ->
-      let fail fmt = Printf.ksprintf (fun msg -> failwith ("Trace.load: " ^ msg)) fmt in
-      let line () = try Some (input_line ic) with End_of_file -> None in
-      (match line () with
-      | Some "# ckpt-workflows failure trace v1" -> ()
-      | _ -> fail "bad magic header in %s" path);
-      let field name =
-        match line () with
-        | Some l when String.length l > String.length name
-                      && String.sub l 0 (String.length name) = name ->
-            String.sub l (String.length name + 1) (String.length l - String.length name - 1)
-        | _ -> fail "missing field %s" name
+  Text_log.with_file path ~magic:"# ckpt-workflows failure trace v1" (fun r ->
+      let horizon = Text_log.horizon r in
+      let processors = Text_log.count r "processors" (Text_log.field r "processors") in
+      let law = Text_log.field r "law" in
+      let seed = Int64.of_string_opt (Text_log.field r "seed") in
+      let seed = match seed with Some s -> s | None -> Text_log.fail r "seed must be an integer" in
+      let n = Text_log.count r "count" (Text_log.field r "count") in
+      let rec read acc after i =
+        if i = n then Array.of_list (List.rev acc)
+        else
+          match Text_log.line r with
+          | None -> Text_log.fail r "truncated trace: expected %d times, got %d" n i
+          | Some l ->
+              let time = Text_log.time r ~horizon ~after (String.trim l) in
+              read (time :: acc) time (i + 1)
       in
-      let horizon = float_of_string (field "horizon") in
-      let processors = int_of_string (field "processors") in
-      let law = field "law" in
-      let seed = Int64.of_string (field "seed") in
-      let n = int_of_string (field "count") in
-      let times =
-        Array.init n (fun i ->
-            match line () with
-            | Some l -> float_of_string (String.trim l)
-            | None -> fail "truncated trace: expected %d times, got %d" n i)
-      in
-      of_times ~processors ~law ~seed ~horizon times)
+      of_times ~processors ~law ~seed ~horizon (read [] 0.0 0))

@@ -36,5 +36,5 @@ val save : t -> string -> unit
 (** Write to a file (text format: a small header, one time per line). *)
 
 val load : string -> t
-(** Parse a file produced by {!save}. Raises [Failure] on malformed
-    input. *)
+(** Parse a file produced by {!save}. Raises [Failure "path:line:
+    message"] on malformed input, as {!Cluster_log.load} does. *)

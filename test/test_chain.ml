@@ -9,6 +9,8 @@ module Chain_problem = Ckpt_core.Chain_problem
 module Schedule = Ckpt_core.Schedule
 module Chain_dp = Ckpt_core.Chain_dp
 module Brute_force = Ckpt_core.Brute_force
+module Segment_cost = Ckpt_core.Segment_cost
+module Dp_tables = Ckpt_core.Dp_tables
 
 let close ?(tol = 1e-9) name expected actual =
   Alcotest.(check bool)
@@ -314,37 +316,101 @@ let test_smawk_fallback_on_nonmonotone () =
   Alcotest.(check int) "dc fallback counter present and untouched" 0
     (counter "dp.dc_fallbacks")
 
+(* Chains certified only above some row. [shape] 0 is a plain random
+   chain; shape 1 adds the recovery spike at n/2 wider than any task
+   weight; shape 2 sets R0 = 0 below a first recovery larger than the
+   first task's work, which fails row 0 only; shape 3 adds one or two
+   recovery or checkpoint cliffs at random positions, with R0 = 0 or
+   not. *)
+let cliff_problem seed n shape =
+  let p0 = random_problem (Int64.of_int seed) n in
+  let rng = Rng.create ~seed:(Int64.of_int (seed + 1)) in
+  let tasks = Array.copy p0.Chain_problem.tasks in
+  let bump i ~checkpoint ~recovery =
+    let t = tasks.(i) in
+    tasks.(i) <-
+      Task.with_costs t ~checkpoint_cost:(t.Task.checkpoint_cost +. checkpoint)
+        ~recovery_cost:(t.Task.recovery_cost +. recovery)
+  in
+  let r0_zero = shape = 2 || (shape = 3 && Rng.bool rng) in
+  if r0_zero then bump 0 ~checkpoint:0.0 ~recovery:tasks.(0).Task.work;
+  if shape = 1 then bump (n / 2) ~checkpoint:0.0 ~recovery:1_000.0;
+  if shape = 3 then
+    for _ = 1 to 1 + Rng.int rng 2 do
+      let cliff = Rng.float_range rng 10.0 60.0 in
+      if Rng.bool rng then bump (Rng.int rng n) ~checkpoint:cliff ~recovery:0.0
+      else bump (Rng.int rng n) ~checkpoint:0.0 ~recovery:cliff
+    done;
+  Chain_problem.make ~downtime:0.3
+    ~initial_recovery:(if r0_zero then 0.0 else 0.5)
+    ~lambda:p0.Chain_problem.lambda (Array.to_list tasks)
+
+let counter name =
+  match Ckpt_obs.Metrics.find (Ckpt_obs.Metrics.snapshot ()) name with
+  | Some (_, Ckpt_obs.Metrics.Counter n) -> n
+  | Some _ -> Alcotest.fail (name ^ " is not a counter")
+  | None -> Alcotest.fail (name ^ " not recorded")
+
+let test_smawk_row0_work () =
+  (* Identical tasks under the default R0 = 0 fail the certificate at
+     row 0 only: SMAWK fills rows 1 up and one scan fills row 0, so the
+     plan stays linear where a whole-chain fallback spends
+     n(n+1)/2 = 2·10^8 transitions. The plan still counts its
+     fallback, and equals solve bit for bit on a smaller chain. *)
+  let identical n =
+    Chain_problem.uniform ~initial_recovery:0.0 ~downtime:1.0 ~lambda:1e-3
+      ~checkpoint:2.0 ~recovery:2.0
+      (List.init n (fun _ -> 1.0))
+  in
+  let n = 20_000 in
+  let p = identical n in
+  Ckpt_obs.Metrics.reset ();
+  let solution = Chain_dp.plan p in
+  let per_task = float_of_int (counter "dp.transitions") /. float_of_int n in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.1f transitions per task (bound 60)" per_task)
+    true (per_task <= 60.0);
+  Alcotest.(check int) "one smawk fallback counted" 1 (counter "dp.smawk_fallbacks");
+  Alcotest.(check bool) "finite positive result" true
+    (Float.is_finite solution.Chain_dp.expected_makespan
+     && solution.Chain_dp.expected_makespan > 0.0);
+  let small = identical 2_000 in
+  bit_identical "R0 = 0, 2,000 tasks" (Chain_dp.solve small) (Chain_dp.plan small);
+  Ckpt_obs.Metrics.reset ()
+
+let test_smawk_saturated_rows () =
+  (* λ·R = 710 overflows the recovery factor e^(λR) while the segment
+     tables stay finite, so the certificate holds and every transition
+     is infinity. Each row must then keep its own index, as the scan
+     does: a choice table that starts at 0 sends the schedule walk
+     round in a loop. *)
+  let p =
+    Chain_problem.uniform ~initial_recovery:710.0 ~lambda:1.0 ~checkpoint:1.0
+      ~recovery:710.0
+      (List.init 300 (fun _ -> 1.0))
+  in
+  Alcotest.(check int) "certified from row 0" 0
+    (Segment_cost.certified_from (Chain_problem.kernel p));
+  let dp = Chain_dp.solve p in
+  Alcotest.(check bool) "infinite optimum" true
+    (Float.equal dp.Chain_dp.expected_makespan infinity);
+  bit_identical "saturated rows" dp (Chain_dp.plan p)
+
 let qcheck_smawk_agreement =
   (* Cross-solver agreement property: plan ≡ solve_smawk ≡ solve_dc ≡
-     solve on random Monge instances and on adversarial non-Monge ones
-     (random recovery spikes force the counted fallback path). plan and
+     solve on random Monge instances and on chains certified only above
+     some row (recovery spikes, R0 = 0, random cliffs: SMAWK covers the
+     certified rows and the rows below are scanned). plan and
      solve_smawk are held to bit-for-bit equality including the schedule
-     (the leftmost-on-ties fold reproduces solve's scan exactly); solve_dc
-     keeps its documented guarantee — equal makespan to float rounding
-     and an equally-optimal placement whose ties may resolve to a
-     different (equal-cost) index. *)
-  QCheck.Test.make ~name:"smawk = dc = iterative DP (Monge and non-Monge)" ~count:120
-    QCheck.(triple (int_range 1 80) (int_range 0 10_000) bool)
-    (fun (n, seed, spike) ->
-      let p0 = random_problem (Int64.of_int (seed + 314_000)) n in
-      let p =
-        if not spike then p0
-        else begin
-          (* Knock out the certificate with a recovery spike wider than
-             any task weight. *)
-          let tasks =
-            List.mapi
-              (fun i (t : Task.t) ->
-                if i = n / 2 then
-                  Task.with_costs t ~checkpoint_cost:t.Task.checkpoint_cost
-                    ~recovery_cost:(t.Task.recovery_cost +. 1_000.0)
-                else t)
-              (Array.to_list p0.Chain_problem.tasks)
-          in
-          Chain_problem.make ~downtime:0.3 ~initial_recovery:0.5
-            ~lambda:p0.Chain_problem.lambda tasks
-        end
-      in
+     (the leftmost-on-ties fold reproduces solve's scan exactly), and
+     dp_values.(0) to solve's makespan; solve_dc keeps its documented
+     guarantee — equal makespan to float rounding and an
+     equally-optimal placement whose ties may resolve to a different
+     (equal-cost) index. *)
+  QCheck.Test.make ~name:"smawk = dc = iterative DP (Monge and non-Monge)" ~count:200
+    QCheck.(triple (int_range 1 80) (int_range 0 10_000) (int_range 0 3))
+    (fun (n, seed, shape) ->
+      let p = cliff_problem (seed + 314_000) n shape in
       let dp = Chain_dp.solve p in
       let smawk = Chain_dp.solve_smawk p in
       let plan = Chain_dp.plan p in
@@ -353,6 +419,7 @@ let qcheck_smawk_agreement =
       && Schedule.equal smawk.Chain_dp.schedule dp.Chain_dp.schedule
       && Float.equal plan.Chain_dp.expected_makespan dp.Chain_dp.expected_makespan
       && Schedule.equal plan.Chain_dp.schedule dp.Chain_dp.schedule
+      && Float.equal (Chain_dp.dp_values p).(0) dp.Chain_dp.expected_makespan
       && Float.abs (dc.Chain_dp.expected_makespan -. dp.Chain_dp.expected_makespan)
          <= 1e-9 *. dp.Chain_dp.expected_makespan
       && Schedule.equal dc.Chain_dp.schedule smawk.Chain_dp.schedule)
@@ -480,6 +547,97 @@ let test_budget_curve () =
         (Chain_dp.solve_with_budget p ~checkpoints:k).Chain_dp.expected_makespan v)
     curve
 
+(* The O(n²k) storage-budget DP, one Segment_cost.row_min scan per row
+   and plane: the oracle for budget_curve and solve_with_budget. Plane
+   k holds each suffix's optimal expectation with exactly k
+   checkpoints, infinity when fewer than k tasks remain. *)
+let budget_oracle p =
+  let n = Chain_problem.size p and kernel = Chain_problem.kernel p in
+  let value = Array.init (n + 1) (fun _ -> Dp_tables.floats ~init:infinity (n + 1)) in
+  let choice = Array.init (n + 1) (fun _ -> Dp_tables.ints n) in
+  Dp_tables.fset value.(0) n 0.0;
+  for k = 1 to n do
+    for x = n - 1 downto 0 do
+      Dp_tables.iset choice.(k) x
+        (Segment_cost.row_min kernel ~next:value.(k - 1) ~row:x ~lo:x ~hi:(n - 1)
+           ~into:value.(k) ~at:x)
+    done
+  done;
+  let indices k =
+    let rec walk k x =
+      if x >= n then []
+      else
+        let j = Dp_tables.iget choice.(k) x in
+        j :: walk (k - 1) (j + 1)
+    in
+    walk k 0
+  in
+  ((fun k -> Dp_tables.fget value.(k) 0), indices)
+
+let budget_matches_oracle p =
+  let n = Chain_problem.size p in
+  let value, indices = budget_oracle p in
+  let curve = Chain_dp.budget_curve p in
+  List.map fst curve = List.init n (fun i -> i + 1)
+  && List.for_all (fun (k, v) -> Float.equal v (value k)) curve
+  && List.for_all
+       (fun k ->
+         let s = Chain_dp.solve_with_budget p ~checkpoints:k in
+         Float.equal s.Chain_dp.expected_makespan (value k)
+         && Schedule.checkpoint_indices s.Chain_dp.schedule = indices k)
+       (List.init n (fun i -> i + 1))
+
+let test_budget_matches_oracle_uniform () =
+  (* Identical tasks maximise exact ties between candidate splits, at
+     R0 = 0 (certified from row 1) and R0 = R (certified throughout). *)
+  List.iter
+    (fun (n, initial_recovery) ->
+      let p =
+        Chain_problem.uniform ~initial_recovery ~downtime:0.2
+          ~lambda:(10.0 /. float_of_int n) ~checkpoint:0.1 ~recovery:2.0
+          (List.init n (fun _ -> 1.0))
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "n=%d, R0=%g: budget DP = oracle" n initial_recovery)
+        true (budget_matches_oracle p))
+    [ (1, 0.0); (2, 0.0); (17, 0.0); (17, 2.0); (120, 0.0); (120, 2.0) ]
+
+let test_budget_matches_oracle_blocks () =
+  (* 300 tasks span two SMAWK blocks, so every plane shrinks its
+     decision window, on rows that also include too-short suffixes
+     (infinity); row 0 fails the certificate (R0 = 0). *)
+  let p =
+    Chain_problem.uniform ~initial_recovery:0.0 ~downtime:0.2 ~lambda:0.02
+      ~checkpoint:0.5 ~recovery:2.0
+      (List.init 300 (fun i -> 1.0 +. float_of_int (i mod 3)))
+  in
+  Alcotest.(check int) "certified from row 1" 1
+    (Segment_cost.certified_from (Chain_problem.kernel p));
+  let value, indices = budget_oracle p in
+  List.iter
+    (fun (k, v) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "curve at k=%d bit for bit" k)
+        true (Float.equal v (value k)))
+    (Chain_dp.budget_curve p);
+  List.iter
+    (fun k ->
+      let s = Chain_dp.solve_with_budget p ~checkpoints:k in
+      Alcotest.(check bool)
+        (Printf.sprintf "k=%d makespan bit for bit" k)
+        true
+        (Float.equal s.Chain_dp.expected_makespan (value k));
+      Alcotest.(check (list int))
+        (Printf.sprintf "k=%d checkpoints" k)
+        (indices k)
+        (Schedule.checkpoint_indices s.Chain_dp.schedule))
+    [ 1; 2; 7; 45; 150; 299; 300 ]
+
+let qcheck_budget_matches_oracle =
+  QCheck.Test.make ~name:"budget DP = O(n^2 k) row-scan oracle, bit for bit" ~count:60
+    QCheck.(triple (int_range 1 60) (int_range 0 10_000) (int_range 0 3))
+    (fun (n, seed, shape) -> budget_matches_oracle (cliff_problem (seed + 515_000) n shape))
+
 let qcheck_budget_matches_filtered_brute_force =
   QCheck.Test.make ~name:"budget DP equals brute force restricted to k checkpoints"
     ~count:30
@@ -562,6 +720,8 @@ let suite =
     Alcotest.test_case "SMAWK = iterative DP" `Quick test_smawk_matches_solve;
     Alcotest.test_case "SMAWK ties and block sizes" `Quick test_smawk_ties_and_blocks;
     Alcotest.test_case "SMAWK fallback" `Quick test_smawk_fallback_on_nonmonotone;
+    Alcotest.test_case "SMAWK linear when only row 0 fails" `Quick test_smawk_row0_work;
+    Alcotest.test_case "SMAWK on saturated rows" `Quick test_smawk_saturated_rows;
     Alcotest.test_case "DP at extreme failure rates" `Quick test_dp_extreme_rates;
     Alcotest.test_case "DP value table" `Quick test_dp_values_structure;
     Alcotest.test_case "first segment end (numTask)" `Quick test_first_segment_end;
@@ -570,6 +730,11 @@ let suite =
       test_smawk_allocation_free;
     Alcotest.test_case "budget-constrained DP" `Quick test_budget_dp;
     Alcotest.test_case "budget curve" `Quick test_budget_curve;
+    Alcotest.test_case "budget DP = oracle on identical tasks" `Quick
+      test_budget_matches_oracle_uniform;
+    Alcotest.test_case "budget DP = oracle across SMAWK blocks" `Quick
+      test_budget_matches_oracle_blocks;
+    QCheck_alcotest.to_alcotest qcheck_budget_matches_oracle;
     QCheck_alcotest.to_alcotest qcheck_budget_matches_filtered_brute_force;
     QCheck_alcotest.to_alcotest qcheck_dp_optimal;
     QCheck_alcotest.to_alcotest qcheck_dc_matches_solve;

@@ -255,7 +255,7 @@ let test_generators_reject_non_finite () =
       Out_channel.with_open_bin path (fun oc ->
           output_string oc "# ckpt-workflows cluster log v1\nhorizon nan\ndescription x\nnodes 0\n");
       Alcotest.check_raises "loaded NaN horizon"
-        (Failure "Cluster_log.load: horizon must be positive and finite") (fun () ->
+        (Failure (path ^ ":2: horizon must be positive and finite")) (fun () ->
           ignore (Cluster_log.load path)))
 
 let test_cluster_log () =
@@ -290,6 +290,85 @@ let test_cluster_log_save_load () =
         (Cluster_log.failure_count loaded);
       Alcotest.(check bool) "merged times equal" true
         (Cluster_log.merged_times log = Cluster_log.merged_times loaded))
+
+(* Malformed failure files: each load must raise Failure "path:line:
+   message", never an exception of the parsers underneath or of
+   Trace.of_times, and must allocate by the lines the file holds, not
+   by the counts it claims. *)
+let cluster_header = "# ckpt-workflows cluster log v1\nhorizon 100\ndescription x\n"
+let trace_header = "# ckpt-workflows failure trace v1\nhorizon 100\nprocessors 2\nlaw x\nseed 7\n"
+
+let log path = ignore (Cluster_log.load path)
+let trace path = ignore (Trace.load path)
+
+let malformed_cases =
+  [
+    ("log: negative node count", log, cluster_header ^ "nodes -3\n",
+      4, {|nodes must be a non-negative integer, got "-3"|});
+    ("log: NaN time", log, cluster_header ^ "nodes 1\nnode 0 2 1.5 nan\n",
+      5, {|failure time "nan" is not a number in [0, horizon]|});
+    ("log: non-numeric time", log,
+      cluster_header ^ "nodes 1\nnode 0 1 abc\n",
+      5, {|failure time "abc" is not a number in [0, horizon]|});
+    ("log: time past the horizon", log,
+      cluster_header ^ "nodes 1\nnode 0 1 250\n",
+      5, {|failure time "250" is not a number in [0, horizon]|});
+    ("log: infinite time", log, cluster_header ^ "nodes 1\nnode 0 1 inf\n",
+      5, {|failure time "inf" is not a number in [0, horizon]|});
+    ("log: unsorted times", log,
+      cluster_header ^ "nodes 2\nnode 0 1 3\nnode 1 2 9 4\n",
+      6, "failure times are not sorted");
+    ("log: negative failure count", log,
+      cluster_header ^ "nodes 1\nnode 0 -1\n",
+      5, {|failure count must be a non-negative integer, got "-1"|});
+    ("log: truncated", log, cluster_header ^ "nodes 3\nnode 0 0\n",
+      5, "truncated log: expected 3 nodes, got 1");
+    ("trace: negative count", trace, trace_header ^ "count -1\n",
+      6, {|count must be a non-negative integer, got "-1"|});
+    ("trace: NaN time", trace, trace_header ^ "count 2\n1\nnan\n",
+      8, {|failure time "nan" is not a number in [0, horizon]|});
+    ("trace: non-numeric seed", trace,
+      "# ckpt-workflows failure trace v1\nhorizon 100\nprocessors 2\nlaw x\nseed s\n",
+      5, "seed must be an integer");
+    ("trace: unsorted times", trace, trace_header ^ "count 2\n5\n4\n",
+      8, "failure times are not sorted");
+  ]
+
+let with_text content f =
+  let path = Filename.temp_file "ckpt_malformed" ".txt" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Out_channel.with_open_bin path (fun oc -> output_string oc content);
+      f path)
+
+let test_malformed (_, load, content, line, message) () =
+  with_text content (fun path ->
+      Alcotest.check_raises "Failure at path:line"
+        (Failure (Printf.sprintf "%s:%d: %s" path line message))
+        (fun () -> load path))
+
+let test_oversized_counts () =
+  (* One line of data under a header claiming 10^6 entries: the load
+     reports the truncation having allocated words for what it read,
+     where sizing an array from the header costs 10^6 words. *)
+  List.iter
+    (fun (load, content, line, message) ->
+      with_text content (fun path ->
+          let before = Gc.allocated_bytes () in
+          Alcotest.check_raises "truncation reported"
+            (Failure (Printf.sprintf "%s:%d: %s" path line message))
+            (fun () -> load path);
+          let words = (Gc.allocated_bytes () -. before) /. float_of_int (Sys.word_size / 8) in
+          Alcotest.(check bool)
+            (Printf.sprintf "%.0f words allocated (bound 10^5)" words)
+            true (words < 1e5)))
+    [
+      (log, cluster_header ^ "nodes 1000000\nnode 0 1 2.5\n", 5,
+        "truncated log: expected 1000000 nodes, got 1");
+      (trace, trace_header ^ "count 1000000\n2.5\n", 7,
+        "truncated trace: expected 1000000 times, got 1");
+    ]
 
 let test_rejuvenation_modes_exponential_equivalent () =
   (* For Exponential laws, Failed_only and All_processors rejuvenation
@@ -593,6 +672,12 @@ let suite =
       test_generators_reject_non_finite;
     Alcotest.test_case "cluster log" `Quick test_cluster_log;
     Alcotest.test_case "cluster log save/load" `Quick test_cluster_log_save_load;
+    Alcotest.test_case "oversized counts allocate by the lines read" `Quick
+      test_oversized_counts;
     Alcotest.test_case "rejuvenation modes equal for exponential" `Slow
       test_rejuvenation_modes_exponential_equivalent;
   ]
+  @ List.map
+      (fun ((name, _, _, _, _) as case) ->
+        Alcotest.test_case ("malformed " ^ name) `Quick (test_malformed case))
+      malformed_cases

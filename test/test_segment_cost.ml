@@ -146,16 +146,23 @@ let test_monotone_dc_support () =
   in
   Alcotest.(check bool) "uniform chain qualifies" true
     (Segment_cost.supports_monotone_dc uniform);
+  Alcotest.(check int) "uniform chain certified from row 0" 0
+    (Segment_cost.certified_from uniform);
   (* Identical tasks qualify only when R - R0 <= w. Chain_problem.make
      defaults R0 to 0, so 1,000 tasks with w = 1 and C = R = 2 fail at
-     row 0; Chain_problem.uniform defaults R0 to R. *)
-  let identical ?initial_recovery () =
+     row 0 — and only there; Chain_problem.uniform defaults R0 to R. *)
+  let identical_kernel ?initial_recovery () =
     Chain_problem.uniform ?initial_recovery ~lambda:1e-3 ~checkpoint:2.0 ~recovery:2.0
       (List.init 1000 (fun _ -> 1.0))
-    |> Chain_problem.kernel |> Segment_cost.supports_monotone_dc
+    |> Chain_problem.kernel
+  in
+  let identical ?initial_recovery () =
+    Segment_cost.supports_monotone_dc (identical_kernel ?initial_recovery ())
   in
   Alcotest.(check bool) "identical tasks, R0 = 0, disqualify" false
     (identical ~initial_recovery:0.0 ());
+  Alcotest.(check int) "identical tasks, R0 = 0, certified from row 1" 1
+    (Segment_cost.certified_from (identical_kernel ~initial_recovery:0.0 ()));
   Alcotest.(check bool) "identical tasks, R0 = 1, qualify" true
     (identical ~initial_recovery:1.0 ());
   Alcotest.(check bool) "identical tasks, R0 = R = 2, qualify" true
@@ -180,12 +187,41 @@ let test_monotone_dc_support () =
   in
   Alcotest.(check bool) "checkpoint drop larger than a weight disqualifies" false
     (Segment_cost.supports_monotone_dc ckpt_drop);
+  (* A cliff at task i fails index i, so SMAWK covers rows i + 1 up;
+     with several cliffs the last one decides. *)
+  List.iter
+    (fun cliffs ->
+      let checkpoints = Array.make 6 0.5 in
+      List.iter (fun i -> checkpoints.(i) <- 9.0) cliffs;
+      let kernel =
+        kernel_of ~lambda:0.05 ~downtime:0.2 ~works:(Array.make 6 2.0) ~checkpoints
+          ~recoveries:(Array.make 6 0.5)
+      in
+      let last = List.fold_left max 0 cliffs in
+      Alcotest.(check int)
+        (Printf.sprintf "checkpoint cliff at task %d certified from row %d" last (last + 1))
+        (last + 1)
+        (Segment_cost.certified_from kernel))
+    [ [ 0 ]; [ 2 ]; [ 4 ]; [ 1; 3 ] ];
+  (* The spike is R_3: rows 2 and 3 break a's monotonicity. *)
+  Alcotest.(check int) "recovery spike at row 3 certified from row 3" 3
+    (Segment_cost.certified_from spiked);
+  (* A cliff on the last task has no later index to fail. *)
+  let last_cliff =
+    kernel_of ~lambda:0.05 ~downtime:0.2 ~works:(Array.make 6 2.0)
+      ~checkpoints:[| 0.5; 0.5; 0.5; 0.5; 0.5; 9.0 |]
+      ~recoveries:(Array.make 6 0.5)
+  in
+  Alcotest.(check int) "cliff on the last task certified from row 0" 0
+    (Segment_cost.certified_from last_cliff);
   let overflow =
     kernel_of ~lambda:1.0 ~downtime:0.2 ~works:(Array.make 6 200.0)
       ~checkpoints:(Array.make 6 0.5) ~recoveries:(Array.make 6 0.5)
   in
   Alcotest.(check bool) "overflow mode disqualifies" false
-    (Segment_cost.supports_monotone_dc overflow)
+    (Segment_cost.supports_monotone_dc overflow);
+  Alcotest.(check int) "overflow mode certifies no row" 6
+    (Segment_cost.certified_from overflow)
 
 let test_shape_validation () =
   Alcotest.check_raises "empty chain rejected"

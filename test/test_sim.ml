@@ -1128,6 +1128,27 @@ let test_tools_bad_input () =
            (fun flags -> Printf.sprintf "diff %s %s %s" snapshot snapshot flags)
            [ "--max-change nan"; "--max-change=-1"; "--config " ^ Filename.quote config ]))
 
+
+let test_trace_inspect_malformed () =
+  (* Malformed cluster logs used to exit 125: a negative node count
+     (Array.init), a NaN time (Trace.of_times, after loading) and a
+     non-numeric time (a bare float_of_string). A claimed 10^6 nodes
+     over one node line must be reported, not allocated. *)
+  let header = "# ckpt-workflows cluster log v1\nhorizon 100\ndescription x\n" in
+  let logs =
+    List.map
+      (fun body ->
+        let path = Filename.temp_file "ckpt_cli" ".log" in
+        Out_channel.with_open_bin path (fun oc -> output_string oc (header ^ body));
+        path)
+      [ "nodes -3\n"; "nodes 1\nnode 0 1 nan\n"; "nodes 1\nnode 0 1 abc\n";
+        "nodes 1000000\nnode 0 1 2.5\n" ]
+  in
+  Fun.protect
+    ~finally:(fun () -> List.iter Sys.remove logs)
+    (fun () ->
+      rejects_bad_input "ckpt_trace.exe"
+        (List.map (fun path -> "inspect " ^ Filename.quote path) logs))
 let suite =
   [
     Alcotest.test_case "failure-free run" `Quick test_no_failure;
@@ -1178,4 +1199,6 @@ let suite =
     Alcotest.test_case "trace-driven run" `Quick test_run_on_trace;
     Alcotest.test_case "ckpt-sim rejects bad input" `Quick test_ckpt_sim_bad_input;
     Alcotest.test_case "command-line tools reject bad input" `Quick test_tools_bad_input;
+    Alcotest.test_case "ckpt-trace inspect rejects malformed logs" `Quick
+      test_trace_inspect_malformed;
   ]
