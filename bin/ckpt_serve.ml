@@ -64,10 +64,14 @@ let smoke_tasks k n =
       (work, checkpoint, recovery))
 
 (* Instance 4 fails the certificate only at row 0 (R0 = 0 below a first
-   recovery above its work), instance 9 at a checkpoint cliff. *)
+   recovery above its work), instance 9 at a checkpoint cliff. Instance
+   11 is 1,500 tasks at a failure rate whose optimal segments span more
+   than a SMAWK block, so its plan skips blocks' divide and conquer. *)
 let smoke_instance k =
-  let n = 5 + ((k * 11) mod 28) in
-  let lambda = 0.005 +. (float_of_int (k + 1) /. 200.0) in
+  let n, lambda =
+    if k = 11 then (1_500, 5e-8)
+    else (5 + ((k * 11) mod 28), 0.005 +. (float_of_int (k + 1) /. 200.0))
+  in
   let downtime = float_of_int (k mod 3) /. 10.0 in
   let initial_recovery = float_of_int (k mod 4) /. 8.0 in
   let cliff i (w, c, r) =

@@ -49,7 +49,11 @@ let default_block = 256
    decision window [up+1, hi] of final values and then an intra-block
    divide and conquer; the window then shrinks to hi = choice.{lo},
    exact because leftmost argmins are non-decreasing under the
-   certificate. O(n log block + Σ window spans) evaluations — linear on
+   certificate. A block whose far window spans a block or more skips
+   the divide and conquer when one scan of row lo over the block's own
+   decisions stays strictly above row lo's far minimum: by the same
+   monotone argmins no row of the block then takes a decision inside
+   it. O(n log block + Σ window spans) evaluations — linear on
    checkpoint instances — on one O(block)-word workspace. Rows below
    [from] are one row_min scan each, last, as a row reads every row
    above it; from = n is the O(n²) sweep. *)
@@ -60,6 +64,7 @@ let fill ?(block = default_block) kernel ~next ~into ~choice ~from =
     else begin
       let ws = Segment_cost.workspace ~rows:(Stdlib.min block (n - from)) in
       let minima = Segment_cost.minima ws and argmins = Segment_cost.argmins ws in
+      let checks = ref 0 in
       (* Fold a combine's row minima into [into], the rows' best so far.
          Strictly better, or equal with a smaller index, makes the final
          choice the leftmost argmin whatever order the combines ran in:
@@ -86,6 +91,21 @@ let fill ?(block = default_block) kernel ~next ~into ~choice ~from =
           solve_block a m
         end
       in
+      (* After the far combine, rows lo+1..up hold their far minima: the
+         plain DP's [next] is [into], a budget plane's is final. If row
+         lo's own decisions, priced against them, lose strictly to its
+         far minimum, row lo's leftmost argmin is far, hence every
+         row's, and from row up down each far minimum is the value.
+         The scan's minimum goes to [minima], free between combines. *)
+      let far_suffices lo up =
+        let far = T.fget into lo in
+        Float.is_finite far
+        && begin
+             ignore (Segment_cost.row_min kernel ~next ~row:lo ~lo ~hi:up ~into:minima ~at:0);
+             checks := !checks + (up - lo + 1);
+             T.fget minima 0 > far
+           end
+      in
       (* Rows fold from infinity; choices start past every decision, so
          a row whose minimum is infinity keeps its own index (the leaf
          decision), as row_min does. *)
@@ -96,11 +116,12 @@ let fill ?(block = default_block) kernel ~next ~into ~choice ~from =
         let lo = !l in
         let up = Stdlib.min (n - 1) (lo + block - 1) in
         if up + 1 <= !hi then combine ~first:lo ~rows:(up - lo + 1) ~lo:(up + 1) ~hi:!hi;
-        solve_block lo up;
+        (* Only where row up+1's first segment outruns a block. *)
+        if not (!hi - up >= block && far_suffices lo up) then solve_block lo up;
         hi := T.iget choice lo;
         l := lo - block
       done;
-      Segment_cost.evaluations ws
+      Segment_cost.evaluations ws + !checks
     end
   in
   for x = from - 1 downto 0 do
@@ -201,10 +222,12 @@ let solve_dc problem =
   else begin
     (* value.(x) is final for x >= the right edge of the interval being
        solved; best/choice accumulate the minima over every decision
-       range already combined into state x. *)
+       range already combined into state x, folded as the fill folds:
+       from infinity and a choice past every decision, so a row whose
+       minimum is infinity keeps its leaf. *)
     let value = T.floats (n + 1) in
     let best = T.floats ~init:infinity n in
-    let choice = T.ints n in
+    let choice = T.ints ~init:n n in
     let scan_min = T.floats 1 in
     (* Row minima of f over states xlo..xhi and decisions jlo..jhi
        (xhi <= jlo required, so value.(j+1) is final throughout):
@@ -219,8 +242,9 @@ let solve_dc problem =
           Segment_cost.row_min kernel ~next:value ~row:xm ~lo:jlo ~hi:jhi ~into:scan_min
             ~at:0
         in
-        if T.fget scan_min 0 < T.fget best xm then begin
-          T.fset best xm (T.fget scan_min 0);
+        let v = T.fget scan_min 0 and bv = T.fget best xm in
+        if v < bv || (Float.equal v bv && j < T.iget choice xm) then begin
+          T.fset best xm v;
           T.iset choice xm j
         end;
         combine xlo (xm - 1) jlo j;

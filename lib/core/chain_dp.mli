@@ -55,8 +55,9 @@ val solve_dc : Chain_problem.t -> solution
     the optimal first-checkpoint index is monotone in the suffix start
     and the optimum takes O(n log² n) transition evaluations. Agrees
     with {!solve} on the expected makespan to float rounding (same
-    kernel-backed costs, same smallest-index tie-breaking). Otherwise
-    it counts a [dp.dc_fallbacks] and runs {!solve}. *)
+    kernel-backed costs, same smallest-index tie-breaking; a row whose
+    every candidate is infinite keeps its own index, as in {!solve}).
+    Otherwise it counts a [dp.dc_fallbacks] and runs {!solve}. *)
 
 val solve_smawk : ?verify:bool -> ?block:int -> Chain_problem.t -> solution
 (** Linear-transition solver: SMAWK row minima over the certified
@@ -66,6 +67,13 @@ val solve_smawk : ?verify:bool -> ?block:int -> Chain_problem.t -> solution
     evaluations — linear in n on checkpoint instances, where optimal
     segment lengths grow like √n (the bench suite gates the measured
     [dp.smawk_transitions] growth) — plus n − x for each scanned row x.
+    Where optimal segments are longer than a block (small λ), the
+    n·log block term falls to one evaluation per row: a block whose
+    far window spans a block or more skips its intra-block divide and
+    conquer when one scan of its lowest row shows no row of the block
+    chooses inside it, an exact check (docs/KERNELS.md). The 10⁶-task
+    benchmark chain at λ = 10⁻⁵ costs 12.2 transitions per task, not
+    24.2.
     Identical transition expressions and a leftmost-on-ties fold make
     the result {e bit-for-bit} equal to {!solve} on every input. One
     {!Segment_cost.workspace} of O([block]) words serves every combine,

@@ -28,10 +28,14 @@ type problem = {
   candidates : int list;
 }
 
+(* The powers of two up to [max_processors] (>= 1), and the limit
+   itself. p doubles only while 2p stays within the limit, so the
+   doubling never overflows, up to max_int. *)
 let default_candidates max_processors =
-  let rec powers acc p = if p > max_processors then acc else powers (p :: acc) (2 * p) in
-  let base = powers [] 1 in
-  List.sort_uniq compare (max_processors :: base)
+  let rec powers acc p =
+    if p > max_processors / 2 then p :: acc else powers (p :: acc) (2 * p)
+  in
+  List.sort_uniq compare (max_processors :: powers [] 1)
 
 let problem ?(downtime = 0.0) ?(initial_recovery = 0.0) ?candidates ~max_processors
     ~proc_rate task_list =

@@ -72,11 +72,34 @@ let chain_tasks params =
       with Invalid_argument msg -> failf "params: tasks[%d]: %s" i msg)
     tasks
 
+(* A segment that recovers with R costs e^(λR)·(1/λ + D) times its
+   growth. Where that factor overflows, every such segment costs +∞
+   and no plan can be priced, so the field is refused: λ itself when
+   1/λ overflows. A bad λ or D is left to the problem's own
+   validation and message. *)
+let check_recovery_factors ~lambda ~downtime ~initial_recovery tasks =
+  if lambda > 0.0 && Float.is_finite lambda && downtime >= 0.0 && Float.is_finite downtime
+  then begin
+    let scale = (1.0 /. lambda) +. downtime in
+    if not (Float.is_finite scale) then failf "params: lambda: 1/lambda is not finite";
+    let finite r = Float.is_finite (exp (lambda *. r) *. scale) in
+    let refuse field =
+      failf "params: %s: e^(lambda*R)*(1/lambda + downtime) is not finite" field
+    in
+    if not (finite initial_recovery) then refuse "initial_recovery";
+    List.iteri
+      (fun i task ->
+        if not (finite task.Task.recovery_cost) then
+          refuse (Printf.sprintf "tasks[%d].recovery" i))
+      tasks
+  end
+
 let chain_problem params =
   let lambda = float_field "lambda" params in
   let downtime = opt_float_field "downtime" params in
   let initial_recovery = opt_float_field "initial_recovery" params in
   let tasks = chain_tasks params in
+  check_recovery_factors ~lambda ~downtime ~initial_recovery tasks;
   try Chain_problem.make ~downtime ~initial_recovery ~lambda tasks
   with Invalid_argument msg -> failf "params: %s" msg
 
@@ -119,6 +142,7 @@ let plan_independent ~id params =
   let downtime = opt_float_field "downtime" params in
   let initial_recovery = opt_float_field "initial_recovery" params in
   let tasks = chain_tasks params in
+  check_recovery_factors ~lambda ~downtime ~initial_recovery tasks;
   let problem =
     try Independent.make ~downtime ~initial_recovery ~lambda tasks
     with Invalid_argument msg -> failf "params: %s" msg

@@ -321,8 +321,8 @@ let test_smawk_fallback_on_nonmonotone () =
    weight; shape 2 sets R0 = 0 below a first recovery larger than the
    first task's work, which fails row 0 only; shape 3 adds one or two
    recovery or checkpoint cliffs at random positions, with R0 = 0 or
-   not. *)
-let cliff_problem seed n shape =
+   not. [lambda] overrides the random chain's failure rate. *)
+let cliff_problem ?lambda seed n shape =
   let p0 = random_problem (Int64.of_int seed) n in
   let rng = Rng.create ~seed:(Int64.of_int (seed + 1)) in
   let tasks = Array.copy p0.Chain_problem.tasks in
@@ -343,7 +343,8 @@ let cliff_problem seed n shape =
     done;
   Chain_problem.make ~downtime:0.3
     ~initial_recovery:(if r0_zero then 0.0 else 0.5)
-    ~lambda:p0.Chain_problem.lambda (Array.to_list tasks)
+    ~lambda:(Option.value lambda ~default:p0.Chain_problem.lambda)
+    (Array.to_list tasks)
 
 let counter name =
   match Ckpt_obs.Metrics.find (Ckpt_obs.Metrics.snapshot ()) name with
@@ -396,6 +397,48 @@ let test_smawk_saturated_rows () =
     (Float.equal dp.Chain_dp.expected_makespan infinity);
   bit_identical "saturated rows" dp (Chain_dp.plan p)
 
+let test_dc_saturated_rows () =
+  (* The divide and conquer on the same overflowing recovery factor:
+     its fold used to start every choice at 0, which an infinite
+     candidate never moved, and the schedule walk looped for good. *)
+  List.iter
+    (fun n ->
+      let p =
+        Chain_problem.uniform ~initial_recovery:710.0 ~lambda:1.0 ~checkpoint:1.0
+          ~recovery:710.0
+          (List.init n (fun _ -> 1.0))
+      in
+      bit_identical
+        (Printf.sprintf "saturated rows, %d tasks" n)
+        (Chain_dp.solve p) (Chain_dp.solve_dc p))
+    [ 4; 300 ]
+
+(* Works 1, 2, 3, 1, …, C = R = 2, D = 0.5. *)
+let three_work_chain ~initial_recovery ~lambda n =
+  Chain_problem.make ~downtime:0.5 ~initial_recovery ~lambda
+    (List.init n (fun i ->
+         Task.make ~id:i ~work:(1.0 +. float_of_int (i mod 3)) ~checkpoint_cost:2.0
+           ~recovery_cost:2.0 ()))
+
+let test_smawk_skip_counts () =
+  (* At λ = 10^-5 optimal segments span ~300 tasks, more than a block:
+     nearly every block skips its divide and conquer for one row scan,
+     about halving the plan's work. At λ = 10^-2 segments are shorter
+     than a block, no block passes the gate, and the count is exactly
+     the one of the fill without the skip. *)
+  let n = 20_000 in
+  Ckpt_obs.Metrics.reset ();
+  ignore (Chain_dp.plan (three_work_chain ~initial_recovery:0.0 ~lambda:1e-5 n));
+  let per_task = float_of_int (counter "dp.smawk_transitions") /. float_of_int n in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.2f SMAWK transitions per task at λ = 1e-5 (bound 13)" per_task)
+    true (per_task <= 13.0);
+  Ckpt_obs.Metrics.reset ();
+  ignore (Chain_dp.plan (three_work_chain ~initial_recovery:2.0 ~lambda:1e-2 n));
+  Alcotest.(check int) "SMAWK transitions at λ = 1e-2" 534_293
+    (counter "dp.smawk_transitions");
+  Ckpt_obs.Metrics.reset ()
+
 let qcheck_smawk_agreement =
   (* Cross-solver agreement property: plan ≡ solve_smawk ≡ solve_dc ≡
      solve on random Monge instances and on chains certified only above
@@ -423,6 +466,27 @@ let qcheck_smawk_agreement =
       && Float.abs (dc.Chain_dp.expected_makespan -. dp.Chain_dp.expected_makespan)
          <= 1e-9 *. dp.Chain_dp.expected_makespan
       && Schedule.equal dc.Chain_dp.schedule smawk.Chain_dp.schedule)
+
+let qcheck_smawk_skip_agreement =
+  (* At λ from 10^-6 to 10^-4 optimal segments span tens to hundreds of
+     tasks, several blocks of 2 to 16 rows, so most blocks skip their
+     divide and conquer; near the chain's end, and on cliffs, some
+     gated blocks fail the check and run it. Every block size must
+     reproduce solve bit for bit. *)
+  QCheck.Test.make ~name:"SMAWK = iterative DP across skipped blocks" ~count:500
+    QCheck.(
+      quad (int_range 1 300) (int_range 0 10_000) (int_range 0 3) (float_range 4.0 6.0))
+    (fun (n, seed, shape, decades) ->
+      let p = cliff_problem ~lambda:(10.0 ** -.decades) (seed + 626_000) n shape in
+      let dp = Chain_dp.solve p in
+      let same (s : Chain_dp.solution) =
+        Float.equal s.Chain_dp.expected_makespan dp.Chain_dp.expected_makespan
+        && Schedule.checkpoint_indices s.Chain_dp.schedule
+           = Schedule.checkpoint_indices dp.Chain_dp.schedule
+      in
+      List.for_all (fun block -> same (Chain_dp.solve_smawk ~block p)) [ 2; 3; 4; 8; 16 ]
+      && same (Chain_dp.plan p)
+      && Float.equal (Chain_dp.dp_values p).(0) dp.Chain_dp.expected_makespan)
 
 let qcheck_dc_matches_solve =
   QCheck.Test.make ~name:"divide-and-conquer = iterative DP on random chains" ~count:80
@@ -550,13 +614,15 @@ let test_budget_curve () =
 (* The O(n²k) storage-budget DP, one Segment_cost.row_min scan per row
    and plane: the oracle for budget_curve and solve_with_budget. Plane
    k holds each suffix's optimal expectation with exactly k
-   checkpoints, infinity when fewer than k tasks remain. *)
-let budget_oracle p =
+   checkpoints, infinity when fewer than k tasks remain; [planes]
+   (default n) is the last plane filled. *)
+let budget_oracle ?planes p =
   let n = Chain_problem.size p and kernel = Chain_problem.kernel p in
-  let value = Array.init (n + 1) (fun _ -> Dp_tables.floats ~init:infinity (n + 1)) in
-  let choice = Array.init (n + 1) (fun _ -> Dp_tables.ints n) in
+  let planes = Option.value planes ~default:n in
+  let value = Array.init (planes + 1) (fun _ -> Dp_tables.floats ~init:infinity (n + 1)) in
+  let choice = Array.init (planes + 1) (fun _ -> Dp_tables.ints n) in
   Dp_tables.fset value.(0) n 0.0;
-  for k = 1 to n do
+  for k = 1 to planes do
     for x = n - 1 downto 0 do
       Dp_tables.iset choice.(k) x
         (Segment_cost.row_min kernel ~next:value.(k - 1) ~row:x ~lo:x ~hi:(n - 1)
@@ -632,6 +698,23 @@ let test_budget_matches_oracle_blocks () =
         (indices k)
         (Schedule.checkpoint_indices s.Chain_dp.schedule))
     [ 1; 2; 7; 45; 150; 299; 300 ]
+
+let test_budget_matches_oracle_skipped () =
+  (* At λ = 10^-5 a budget of at most 6 checkpoints leaves segments of
+     hundreds of tasks on 1,200, so the planes skip blocks too. *)
+  let p = three_work_chain ~initial_recovery:2.0 ~lambda:1e-5 1_200 in
+  let value, indices = budget_oracle ~planes:6 p in
+  for k = 1 to 6 do
+    let s = Chain_dp.solve_with_budget p ~checkpoints:k in
+    Alcotest.(check bool)
+      (Printf.sprintf "k=%d makespan bit for bit" k)
+      true
+      (Float.equal s.Chain_dp.expected_makespan (value k));
+    Alcotest.(check (list int))
+      (Printf.sprintf "k=%d checkpoints" k)
+      (indices k)
+      (Schedule.checkpoint_indices s.Chain_dp.schedule)
+  done
 
 let qcheck_budget_matches_oracle =
   QCheck.Test.make ~name:"budget DP = O(n^2 k) row-scan oracle, bit for bit" ~count:60
@@ -722,6 +805,10 @@ let suite =
     Alcotest.test_case "SMAWK fallback" `Quick test_smawk_fallback_on_nonmonotone;
     Alcotest.test_case "SMAWK linear when only row 0 fails" `Quick test_smawk_row0_work;
     Alcotest.test_case "SMAWK on saturated rows" `Quick test_smawk_saturated_rows;
+    Alcotest.test_case "divide-and-conquer on saturated rows" `Quick
+      test_dc_saturated_rows;
+    Alcotest.test_case "SMAWK skips blocks its segments outrun" `Quick
+      test_smawk_skip_counts;
     Alcotest.test_case "DP at extreme failure rates" `Quick test_dp_extreme_rates;
     Alcotest.test_case "DP value table" `Quick test_dp_values_structure;
     Alcotest.test_case "first segment end (numTask)" `Quick test_first_segment_end;
@@ -734,11 +821,14 @@ let suite =
       test_budget_matches_oracle_uniform;
     Alcotest.test_case "budget DP = oracle across SMAWK blocks" `Quick
       test_budget_matches_oracle_blocks;
+    Alcotest.test_case "budget DP = oracle across skipped blocks" `Quick
+      test_budget_matches_oracle_skipped;
     QCheck_alcotest.to_alcotest qcheck_budget_matches_oracle;
     QCheck_alcotest.to_alcotest qcheck_budget_matches_filtered_brute_force;
     QCheck_alcotest.to_alcotest qcheck_dp_optimal;
     QCheck_alcotest.to_alcotest qcheck_dc_matches_solve;
     QCheck_alcotest.to_alcotest qcheck_smawk_agreement;
+    QCheck_alcotest.to_alcotest qcheck_smawk_skip_agreement;
     QCheck_alcotest.to_alcotest qcheck_dp_below_heuristics;
     QCheck_alcotest.to_alcotest qcheck_schedule_segments_cover;
   ]

@@ -41,7 +41,23 @@ let test_candidates_default () =
   let p = sample_problem () in
   Alcotest.(check (list int)) "powers of two up to P"
     [ 1; 2; 4; 8; 16; 32; 64; 128; 256 ]
-    p.Moldable_chain.candidates
+    p.Moldable_chain.candidates;
+  (* Doubling past 2^61 used to wrap to min_int, then 0, and the list
+     grew without end. *)
+  let p = Moldable_chain.problem ~max_processors:max_int ~proc_rate:1e-5 [ mk 10.0 ] in
+  Alcotest.(check (list int)) "powers of two up to max_int, then max_int"
+    (List.init 62 (fun i -> 1 lsl i) @ [ max_int ])
+    p.Moldable_chain.candidates;
+  List.iter
+    (fun max_processors ->
+      let p = Moldable_chain.problem ~max_processors ~proc_rate:1e-5 [ mk 10.0 ] in
+      Alcotest.(check (list int))
+        (Printf.sprintf "max_processors = %d" max_processors)
+        (List.sort_uniq compare
+           (max_processors
+           :: List.filter (fun c -> c <= max_processors) (List.init 62 (fun i -> 1 lsl i))))
+        p.Moldable_chain.candidates)
+    [ 1; 2; 3; 5; 1 lsl 60; (1 lsl 61) + 1 ]
 
 let test_single_allocation_equals_chain_dp () =
   (* Restricting to one candidate must reproduce the rigid-chain DP. *)

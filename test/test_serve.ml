@@ -419,6 +419,70 @@ let test_engine_errors () =
       ("negative checkpoint volume", moldable_task ~checkpoint:(overhead "constant" (-5.0)) ());
     ]
 
+let test_engine_unpriceable_recovery () =
+  (* At λ = 1 a recovery of 710 overflows e^(λR)·(1/λ + D), so every
+     segment recovering with it would cost +∞; such a chain used to be
+     answered ok with a null makespan and a checkpoint after every
+     task. Both chain methods now refuse the field, and λR = 700 is
+     still priced. A subnormal λ overflows 1/λ, the factor for every
+     R. *)
+  let engine = Engine.create ~cache_capacity:4 in
+  let params ?(lambda = 1.0) ~initial_recovery recoveries =
+    Json.Obj
+      [
+        ("lambda", Json.Number lambda);
+        ("initial_recovery", Json.Number initial_recovery);
+        ( "tasks",
+          Json.List
+            (List.map
+               (fun r ->
+                 Json.Obj
+                   [
+                     ("work", Json.Number 1.0);
+                     ("checkpoint", Json.Number 1.0);
+                     ("recovery", Json.Number r);
+                   ])
+               recoveries) );
+      ]
+  in
+  List.iter
+    (fun (label, method_, params, field) ->
+      let response = Engine.handle engine (request ~params label method_) in
+      Alcotest.(check string) (label ^ ": code") "bad_request" (error_code response);
+      let message =
+        match Option.bind (Json.member "error" response) (Json.member "message") with
+        | Some (Json.String m) -> m
+        | _ -> Alcotest.fail ("no error message in " ^ Json.to_string response)
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %S names %s" label message field)
+        true
+        (Astring_like.contains message (Printf.sprintf "params: %s:" field)))
+    [
+      ( "r0", "plan_chain",
+        params ~initial_recovery:710.0 [ 710.0; 710.0; 710.0; 710.0 ],
+        "initial_recovery" );
+      ( "task", "plan_chain",
+        params ~initial_recovery:0.0 [ 1.0; 1.0; 710.0; 1.0 ],
+        "tasks[2].recovery" );
+      ( "independent", "plan_independent",
+        params ~initial_recovery:0.0 [ 1.0; 710.0; 1.0; 1.0 ],
+        "tasks[1].recovery" );
+      ( "subnormal lambda", "plan_chain",
+        params ~lambda:1e-310 ~initial_recovery:0.0 [ 1.0; 1.0 ],
+        "lambda" );
+    ];
+  let result =
+    result_of
+      (Engine.handle engine
+         (request
+            ~params:(params ~initial_recovery:700.0 [ 700.0; 700.0; 700.0; 700.0 ])
+            "priced" "plan_chain"))
+  in
+  match Option.bind (Json.member "expected_makespan" result) Json.to_float with
+  | Some m when Float.is_finite m -> ()
+  | _ -> Alcotest.fail ("λR = 700 must be priced: " ^ Json.to_string result)
+
 let test_engine_other_methods () =
   let engine = Engine.create ~cache_capacity:4 in
   (match
@@ -741,6 +805,8 @@ let suite =
     Alcotest.test_case "queue: blocking pop" `Quick test_queue_blocking_pop;
     Alcotest.test_case "engine: plan_chain + cache" `Quick test_engine_plan_chain;
     Alcotest.test_case "engine: error responses" `Quick test_engine_errors;
+    Alcotest.test_case "engine: unpriceable recovery refused" `Quick
+      test_engine_unpriceable_recovery;
     Alcotest.test_case "engine: ping/independent/moldable" `Quick
       test_engine_other_methods;
     Alcotest.test_case "net: TCP_NODELAY on both ends" `Quick test_net_nodelay;
