@@ -15,27 +15,10 @@ let m_smawk_states = Metrics.counter "dp.smawk_states"
 let m_smawk_transitions = Metrics.counter "dp.smawk_transitions"
 let m_smawk_fallbacks = Metrics.counter "dp.smawk_fallbacks"
 
-(* Shared post-processing: turn a table of "end of first segment"
-   choices into a Schedule. The choice table is abstracted as a
-   function so the Bigarray-backed solvers need no intermediate
-   boxed-array copy. *)
-let schedule_of_choice_fn problem choice =
-  let n = Chain_problem.size problem in
-  let placement = Array.make n false in
-  let rec mark x =
-    if x < n then begin
-      let j = choice x in
-      placement.(j) <- true;
-      mark (j + 1)
-    end
-  in
-  mark 0;
-  Schedule.make problem placement
-
 let solution_of problem (value, choice) =
   {
     expected_makespan = T.fget value 0;
-    schedule = schedule_of_choice_fn problem (T.iget choice);
+    schedule = Schedule.of_first_segment_ends problem (T.iget choice);
   }
 
 let default_block = 256
@@ -192,7 +175,7 @@ let solve_memoized problem =
   in
   let expected_makespan, _ = dpmakespan 0 in
   let choice = Array.init n (fun x -> snd (dpmakespan x)) in
-  { expected_makespan; schedule = schedule_of_choice_fn problem (Array.get choice) }
+  { expected_makespan; schedule = Schedule.of_first_segment_ends problem (Array.get choice) }
 
 (* --- Monotone divide-and-conquer solver ----------------------------- *)
 
@@ -320,7 +303,10 @@ let solve_with_budget problem ~checkpoints =
     decr left;
     T.iget (plane !left) x
   in
-  { expected_makespan = !expected_makespan; schedule = schedule_of_choice_fn problem next_choice }
+  {
+    expected_makespan = !expected_makespan;
+    schedule = Schedule.of_first_segment_ends problem next_choice;
+  }
 
 let budget_curve problem =
   let n = Chain_problem.size problem in

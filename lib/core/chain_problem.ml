@@ -9,8 +9,12 @@ type t = {
   kernel : Segment_cost.t;
 }
 
-let build ~downtime ~initial_recovery ~lambda tasks =
-  if Array.length tasks = 0 then invalid_arg "Chain_problem: empty chain";
+(* One walk of the list fills the task array and every column of the
+   kernel's input. Tasks are renumbered in list order; one that already
+   carries its index comes back from with_id itself. *)
+let make ?(downtime = 0.0) ?(initial_recovery = 0.0) ~lambda task_list =
+  let n = List.length task_list in
+  if n = 0 then invalid_arg "Chain_problem: empty chain";
   if not (lambda > 0.0 && Float.is_finite lambda) then
     invalid_arg "Chain_problem: lambda must be positive and finite";
   if not (downtime >= 0.0) then invalid_arg "Chain_problem: downtime must be non-negative";
@@ -18,38 +22,29 @@ let build ~downtime ~initial_recovery ~lambda tasks =
     invalid_arg "Chain_problem: initial_recovery must be non-negative";
   if not (Float.is_finite downtime && Float.is_finite initial_recovery) then
     invalid_arg "Chain_problem: downtime and initial_recovery must be finite";
-  let n = Array.length tasks in
-  let prefix_work = Array.make (n + 1) 0.0 in
-  for i = 0 to n - 1 do
-    prefix_work.(i + 1) <- prefix_work.(i) +. tasks.(i).Task.work
-  done;
-  (* Filled by loops: Array.map/Array.init with a float-returning
-     closure would box every cost on its way into the table. *)
-  let checkpoint_costs = Array.create_float n in
-  let recovery_costs = Array.create_float n in
-  for i = 0 to n - 1 do
-    checkpoint_costs.(i) <- tasks.(i).Task.checkpoint_cost;
-    recovery_costs.(i) <-
-      (if i = 0 then initial_recovery else tasks.(i - 1).Task.recovery_cost)
-  done;
+  let tasks = Array.make n (List.hd task_list) in
+  let prefix_work = Array.create_float (n + 1) in
+  let checkpoint_costs = Array.create_float n and recovery_costs = Array.create_float n in
+  prefix_work.(0) <- 0.0;
+  (* A segment starting at i recovers with R0 at 0, else task i − 1's R. *)
+  recovery_costs.(0) <- initial_recovery;
+  let rec walk i = function
+    | [] -> ()
+    | task :: rest ->
+        let task = Task.with_id task i in
+        tasks.(i) <- task;
+        prefix_work.(i + 1) <- prefix_work.(i) +. task.Task.work;
+        checkpoint_costs.(i) <- task.Task.checkpoint_cost;
+        if i + 1 < n then recovery_costs.(i + 1) <- task.Task.recovery_cost;
+        walk (i + 1) rest
+  in
+  walk 0 task_list;
   (* Task costs are validated by Task.make (non-negative, not NaN),
      λ/D/R0 just above — the kernel's no-validation contract holds. *)
   let kernel =
     Segment_cost.create ~lambda ~downtime ~prefix_work ~checkpoint_costs ~recovery_costs
   in
   { tasks; lambda; downtime; initial_recovery; prefix_work; kernel }
-
-let make ?(downtime = 0.0) ?(initial_recovery = 0.0) ~lambda task_list =
-  let tasks = Array.of_list task_list in
-  (* Renumber in place. A task that already carries its index comes
-     back from with_id unchanged, and its slot is not rewritten: each
-     store into this (major-heap) array pays the write barrier. *)
-  Array.iteri
-    (fun i task ->
-      let renumbered = Task.with_id task i in
-      if renumbered != task then tasks.(i) <- renumbered)
-    tasks;
-  build ~downtime ~initial_recovery ~lambda tasks
 
 let of_dag ?downtime ?initial_recovery ~lambda dag =
   match Ckpt_dag.Dag.is_chain dag with
@@ -88,7 +83,8 @@ let segment_expected t ~first ~last =
   Segment_cost.cost t.kernel ~first ~last
 
 let with_lambda t lambda =
-  build ~downtime:t.downtime ~initial_recovery:t.initial_recovery ~lambda t.tasks
+  make ~downtime:t.downtime ~initial_recovery:t.initial_recovery ~lambda
+    (Array.to_list t.tasks)
 
 let pp fmt t =
   Format.fprintf fmt "Chain(n=%d, W=%g, lambda=%g, D=%g, R0=%g)" (size t) (total_work t)

@@ -37,7 +37,7 @@ val expected_unchecked : work:float -> checkpoint:float -> downtime:float ->
 (** Same value as {!expected_v}, but with no argument validation and no
     intermediate [params] record — the hot-path entry point for callers
     that established λ > 0 and non-negative durations once at
-    construction time (e.g. [Chain_problem.build], whose dynamic
+    construction time (e.g. [Chain_problem.make], whose dynamic
     programs evaluate this formula O(n²) times per solve). Behaviour on
     invalid arguments is unspecified; everything in this module other
     than this function validates. *)

@@ -21,6 +21,21 @@ let of_indices problem indices =
   placement.(n - 1) <- true;
   make problem placement
 
+let of_first_segment_ends problem choice =
+  let n = Chain_problem.size problem in
+  let placement = Array.make n false in
+  let rec mark x =
+    if x < n then begin
+      let j = choice x in
+      if j < x || j >= n then
+        invalid_arg "Schedule.of_first_segment_ends: a segment from x must end in [x, n - 1]";
+      placement.(j) <- true;
+      mark (j + 1)
+    end
+  in
+  mark 0;
+  { problem; placement }
+
 let checkpoint_all problem =
   make problem (Array.make (Chain_problem.size problem) true)
 
@@ -81,8 +96,10 @@ let checkpoint_count t =
 
 let checkpoint_indices t =
   let acc = ref [] in
-  Array.iteri (fun i b -> if b then acc := i :: !acc) t.placement;
-  List.rev !acc
+  for i = Array.length t.placement - 1 downto 0 do
+    if t.placement.(i) then acc := i :: !acc
+  done;
+  !acc
 
 let expected_makespan t =
   (* Segments come from a placement validated at construction:

@@ -18,6 +18,17 @@ val of_indices : Chain_problem.t -> int list -> t
 (** Checkpoints after the listed (0-based) task indices, plus the
     mandatory final one. *)
 
+val of_first_segment_ends : Chain_problem.t -> (int -> int) -> t
+(** [of_first_segment_ends problem choice] is the placement a chain DP
+    reads off its choice table: the segment from task [x] ends at
+    [choice x], so the chain checkpoints after [choice 0], then after
+    [choice (choice 0 + 1)], and so on up to the final task. [choice]
+    is called once per segment, in chain order (a budget DP's table
+    depends on how many segments came before). The placement is built
+    once and becomes the schedule's own array, with no copy. Raises
+    [Invalid_argument] if a segment from [x] would end outside
+    [x .. n-1]. *)
+
 val checkpoint_all : Chain_problem.t -> t
 (** Checkpoint after every task. *)
 

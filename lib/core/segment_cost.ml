@@ -19,9 +19,8 @@ type t = {
   recovery_costs : float array;  (* n; index i = recovery of a segment starting at i *)
   lam_prefix : float array;  (* n+1: λ·prefix_work *)
   lam_ckpt : float array;  (* n: λ·C_j *)
-  e_prefix : float array;  (* n+1: e^(λ·prefix_work); empty in reference mode *)
+  e_col : float array;  (* n: e^(λ·prefix_work(j+1))·e^(λ·C_j); empty in reference mode *)
   inv_e_prefix : float array;  (* n+1: e^(−λ·prefix_work); empty in reference mode *)
-  e_ckpt : float array;  (* n: e^(λ·C_j); empty in reference mode *)
   pre : float array;  (* n: e^(λ·R_i)·(1/λ + D) *)
   tables : bool;
   small_threshold : float;
@@ -30,7 +29,10 @@ type t = {
 let overflow_cutoff = 690.0
 
 (* The tables are filled by plain loops: [Array.map] with a
-   float-returning closure boxes every element on its way in. *)
+   float-returning closure boxes every element on its way in. An
+   exponent λ·C_j or λ·R_j equal to its predecessor's (by [=], so a NaN
+   never matches) reuses the predecessor's exponential: chains with
+   runs of equal C or R pay one [exp] per run. *)
 let create ~lambda ~downtime ~prefix_work ~checkpoint_costs ~recovery_costs =
   let n = Array.length checkpoint_costs in
   if n = 0 then invalid_arg "Segment_cost.create: empty chain";
@@ -47,35 +49,45 @@ let create ~lambda ~downtime ~prefix_work ~checkpoint_costs ~recovery_costs =
   let inv_lambda_plus_d = (1.0 /. lambda) +. downtime in
   (* NaN-propagating running maximum, as [Float.max]. *)
   let max_lam_ckpt = ref 0.0 in
+  let lam_r = ref Float.nan and p = ref Float.nan in
   for j = 0 to n - 1 do
     let c = lambda *. checkpoint_costs.(j) in
     lam_ckpt.(j) <- c;
     if c > !max_lam_ckpt || Float.is_nan c then max_lam_ckpt := c;
-    pre.(j) <- exp (lambda *. recovery_costs.(j)) *. inv_lambda_plus_d
+    let r = lambda *. recovery_costs.(j) in
+    if not (r = !lam_r) then begin
+      lam_r := r;
+      p := exp r *. inv_lambda_plus_d
+    end;
+    pre.(j) <- !p
   done;
   let lam_span = lam_prefix.(n) +. !max_lam_ckpt in
   let tables = lam_span <= overflow_cutoff in
-  (* The product form computes e^a − 1 from three table entries whose
+  (* The product form computes e^a − 1 from table entries whose
      combined relative error is O(lam_span·ε); dividing by a bounds the
      relative error of the difference, so a cutoff proportional to
      lam_span keeps the kernel within ~1e-10 of the expm1 reference
      (floored at 1e-6 so tiny chains still take the cheap path only
      where it is exact enough). *)
   let small_threshold = Float.max 1e-6 (lam_span *. 1e-5) in
-  let e_prefix, inv_e_prefix, e_ckpt =
-    if not tables then ([||], [||], [||])
+  let e_col, inv_e_prefix =
+    if not tables then ([||], [||])
     else begin
-      let e_prefix = Array.create_float (n + 1) in
+      let e_col = Array.create_float n in
       let inv_e_prefix = Array.create_float (n + 1) in
-      for i = 0 to n do
-        e_prefix.(i) <- exp lam_prefix.(i);
-        inv_e_prefix.(i) <- exp (-.lam_prefix.(i))
-      done;
-      let e_ckpt = Array.create_float n in
+      inv_e_prefix.(0) <- exp (-.lam_prefix.(0));
+      let lam_c = ref Float.nan and e_c = ref Float.nan in
       for j = 0 to n - 1 do
-        e_ckpt.(j) <- exp lam_ckpt.(j)
+        let c = lam_ckpt.(j) in
+        if not (c = !lam_c) then begin
+          lam_c := c;
+          e_c := exp c
+        end;
+        let lp = lam_prefix.(j + 1) in
+        e_col.(j) <- exp lp *. !e_c;
+        inv_e_prefix.(j + 1) <- exp (-.lp)
       done;
-      (e_prefix, inv_e_prefix, e_ckpt)
+      (e_col, inv_e_prefix)
     end
   in
   {
@@ -86,9 +98,8 @@ let create ~lambda ~downtime ~prefix_work ~checkpoint_costs ~recovery_costs =
     recovery_costs;
     lam_prefix;
     lam_ckpt;
-    e_prefix;
+    e_col;
     inv_e_prefix;
-    e_ckpt;
     pre;
     tables;
     small_threshold;
@@ -109,10 +120,7 @@ let[@inline] growth_unsafe t ~first ~last =
     +. Array.unsafe_get t.lam_ckpt last
   in
   if t.tables && a >= t.small_threshold then
-    Array.unsafe_get t.e_prefix (last + 1)
-    *. Array.unsafe_get t.e_ckpt last
-    *. Array.unsafe_get t.inv_e_prefix first
-    -. 1.0
+    (Array.unsafe_get t.e_col last *. Array.unsafe_get t.inv_e_prefix first) -. 1.0
   else Float.expm1 a
 
 let[@inline] cost_unsafe t ~first ~last =

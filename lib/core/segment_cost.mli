@@ -8,15 +8,18 @@
     once per DP transition — O(n²) times per solve. The exponential
     factors over a fixed chain separate into per-index tables:
 
-    {v eP.(i)  = e^(λ·prefix_work(i))
-   eC.(j)  = e^(λ·C_j)
-   pre.(i) = e^(λ·R_i) · (1/λ + D)        (R_i = recovery paid by a
-                                            segment starting at i) v}
+    {v col.(j)   = e^(λ·prefix_work(j+1)) · e^(λ·C_j)   (one column table)
+   inv.(i)   = e^(−λ·prefix_work(i))
+   pre.(i)   = e^(λ·R_i) · (1/λ + D)        (R_i = recovery paid by a
+                                              segment starting at i) v}
 
     so a transition cost factors as
-    [pre.(first) · (eP.(last+1) · eC.(last) / eP.(first) − 1)] — table
-    lookups and multiplications, with no per-call [exp]/[expm1] (the
-    division is precomputed as a table of [e^(−λ·prefix_work)]).
+    [pre.(first) · (col.(last) · inv.(first) − 1)] — two loads, two
+    multiplications and a subtraction, with no per-call [exp]/[expm1].
+    [col.(j)] is the rounded product [eP · eC] of the two exponentials,
+    so the transition has the bits of
+    [pre.(first) · (eP.(last+1) · eC.(last) · inv.(first) − 1)]
+    evaluated left to right.
 
     {1 Bulk evaluation}
 
@@ -64,9 +67,13 @@ val create :
     recovery paid by a segment starting at task [i] (so index 0 carries
     the initial recovery). Numeric validation (λ > 0, non-negative
     durations, non-decreasing prefix) is the {e caller's} contract —
-    [Chain_problem.build] enforces it — only the array shapes are
+    [Chain_problem.make] enforces it — only the array shapes are
     checked here, once per chain. O(n) time and space; the tables are
-    filled in place, with no per-element allocation. *)
+    filled in place, with no per-element allocation. Per task it calls
+    [exp] once for the prefix and once for its reciprocal (table mode
+    only), plus once per run of equal C (table mode only) and once per
+    run of equal R: a cost equal to its predecessor's reuses the
+    predecessor's exponential. *)
 
 val size : t -> int
 (** Number of tasks [n]. *)

@@ -76,22 +76,31 @@ let chain_tasks params =
    growth. Where that factor overflows, every such segment costs +∞
    and no plan can be priced, so the field is refused: λ itself when
    1/λ overflows. A bad λ or D is left to the problem's own
-   validation and message. *)
+   validation and message. The factor is non-decreasing in R, so one
+   evaluation at the largest R (NaN-propagating) clears the request;
+   only a refusal scans in order, to name the first refused field. *)
 let check_recovery_factors ~lambda ~downtime ~initial_recovery tasks =
   if lambda > 0.0 && Float.is_finite lambda && downtime >= 0.0 && Float.is_finite downtime
   then begin
     let scale = (1.0 /. lambda) +. downtime in
     if not (Float.is_finite scale) then failf "params: lambda: 1/lambda is not finite";
     let finite r = Float.is_finite (exp (lambda *. r) *. scale) in
-    let refuse field =
-      failf "params: %s: e^(lambda*R)*(1/lambda + downtime) is not finite" field
+    let largest =
+      List.fold_left
+        (fun acc task -> Float.max acc task.Task.recovery_cost)
+        initial_recovery tasks
     in
-    if not (finite initial_recovery) then refuse "initial_recovery";
-    List.iteri
-      (fun i task ->
-        if not (finite task.Task.recovery_cost) then
-          refuse (Printf.sprintf "tasks[%d].recovery" i))
-      tasks
+    if not (finite largest) then begin
+      let refuse field =
+        failf "params: %s: e^(lambda*R)*(1/lambda + downtime) is not finite" field
+      in
+      if not (finite initial_recovery) then refuse "initial_recovery";
+      List.iteri
+        (fun i task ->
+          if not (finite task.Task.recovery_cost) then
+            refuse (Printf.sprintf "tasks[%d].recovery" i))
+        tasks
+    end
   end
 
 let chain_problem params =

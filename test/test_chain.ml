@@ -80,7 +80,115 @@ let test_with_lambda () =
   let p = sample_problem () in
   let p2 = Chain_problem.with_lambda p 0.1 in
   Alcotest.(check bool) "lambda updated" true (Float.equal p2.Chain_problem.lambda 0.1);
-  close "structure preserved" (Chain_problem.total_work p) (Chain_problem.total_work p2)
+  close "structure preserved" (Chain_problem.total_work p) (Chain_problem.total_work p2);
+  (* A λ sweep reprices every segment exactly as a fresh chain would:
+     same tasks, D and R0, built at the new λ. *)
+  let rng = Rng.create ~seed:2718L in
+  let tasks =
+    List.init 30 (fun i ->
+        Task.make ~id:i ~work:(Rng.float_range rng 0.5 8.0)
+          ~checkpoint_cost:(if i mod 3 = 0 then 1.0 else Rng.float_range rng 0.0 2.0)
+          ~recovery_cost:(if i mod 4 = 0 then 1.5 else Rng.float_range rng 0.0 2.0)
+          ())
+  in
+  let p = Chain_problem.make ~downtime:0.4 ~initial_recovery:0.7 ~lambda:0.01 tasks in
+  List.iter
+    (fun lambda ->
+      let swept = Chain_problem.with_lambda p lambda in
+      let fresh = Chain_problem.make ~downtime:0.4 ~initial_recovery:0.7 ~lambda tasks in
+      for first = 0 to 29 do
+        for last = first to 29 do
+          Alcotest.(check bool)
+            (Printf.sprintf "lambda %g: segment (%d, %d) priced as fresh" lambda first last)
+            true
+            (Float.equal
+               (Chain_problem.segment_expected swept ~first ~last)
+               (Chain_problem.segment_expected fresh ~first ~last))
+        done
+      done)
+    [ 1e-7; 0.01; 0.3; 5.0 ];
+  Alcotest.check_raises "an empty chain is refused before lambda"
+    (Invalid_argument "Chain_problem: empty chain") (fun () ->
+      ignore (Chain_problem.make ~lambda:(-1.0) []));
+  Alcotest.check_raises "an empty chain is refused before a NaN lambda"
+    (Invalid_argument "Chain_problem: empty chain") (fun () ->
+      ignore (Chain_problem.make ~lambda:Float.nan []))
+
+(* --- Pinned plans ----------------------------------------------------- *)
+
+(* Every solver test above compares two solvers that share the segment
+   cost kernel, so a change to a cost's bits moves both sides at once.
+   These plans pin the kernel's bits: the makespan in %h and an MD5 of
+   the checkpoint indices. A change that moves one changes results. *)
+let indices_digest schedule =
+  Digest.to_hex
+    (Digest.string
+       (String.concat "," (List.map string_of_int (Schedule.checkpoint_indices schedule))))
+
+let check_pinned name (solution : Chain_dp.solution) (makespan, digest) =
+  Alcotest.(check string)
+    (name ^ ": makespan (%h)")
+    makespan
+    (Printf.sprintf "%h" solution.Chain_dp.expected_makespan);
+  Alcotest.(check string) (name ^ ": checkpoint indices digest") digest
+    (indices_digest solution.Chain_dp.schedule)
+
+(* The chain-1e6 benchmark's generator, cut to [n] tasks: weights drawn
+   in [1, 3) from the seed, C = R = R0 = 2, D = 1, λ = 1e-5. *)
+let chain_1e6_prefix ~seed n =
+  let rng = Rng.substream (Rng.create ~seed:(Int64.of_int seed)) "chain-1e6" in
+  let rec tasks i acc =
+    if i = n then List.rev acc
+    else
+      let work = Rng.float_range rng 1.0 3.0 in
+      tasks (i + 1)
+        (Task.make ~id:i ~work ~checkpoint_cost:2.0 ~recovery_cost:2.0 () :: acc)
+  in
+  Chain_problem.make ~downtime:1.0 ~initial_recovery:2.0 ~lambda:1e-5 (tasks 0 [])
+
+(* The draws are let-bound, so their order does not rest on the
+   compiler's argument evaluation order. *)
+let random_cost_chain ~seed ~lambda n =
+  let rng = Rng.create ~seed in
+  let tasks =
+    List.init n (fun i ->
+        let recovery_cost = Rng.float_range rng 0.1 5.0 in
+        let checkpoint_cost = Rng.float_range rng 0.1 5.0 in
+        let work = Rng.float_range rng 1.0 10.0 in
+        Task.make ~id:i ~work ~checkpoint_cost ~recovery_cost ())
+  in
+  Chain_problem.make ~downtime:1.0 ~initial_recovery:(Rng.float_range rng 0.1 5.0) ~lambda
+    tasks
+
+let test_pinned_chain_1e6_plans () =
+  List.iter
+    (fun (seed, pinned) ->
+      check_pinned
+        (Printf.sprintf "chain-1e6 generator, 20000 tasks, seed %d" seed)
+        (Chain_dp.plan (chain_1e6_prefix ~seed 20_000))
+        pinned)
+    [
+      (1, ("0x1.3a79cd23c45fbp+15", "5885a803c6ef85ed88d30d71f4f17dc6"));
+      (2, ("0x1.39b4f3c9bb32bp+15", "191c1a01a11e933834b8e9c7efb6c8f5"));
+      (3, ("0x1.3add289f35cc3p+15", "f3d9ffd5a09c8a880ba2b163ec788c9d"));
+    ]
+
+let test_pinned_random_cost_plans () =
+  let p = random_cost_chain ~seed:4242L ~lambda:1e-3 2_000 in
+  Alcotest.(check bool) "the certificate leaves rows to the scan" true
+    (Segment_cost.certified_from (Chain_problem.kernel p) > 0);
+  check_pinned "random C and R" (Chain_dp.plan p)
+    ("0x1.6103d4f194324p+13", "cdf82726bb5790a1da19438e7abc2578");
+  (* λ·(W + max C) > 690: the kernel prices every segment by expm1. *)
+  let reference = random_cost_chain ~seed:77L ~lambda:0.4 400 in
+  Alcotest.(check bool) "reference mode" false
+    (Segment_cost.uses_tables (Chain_problem.kernel reference));
+  check_pinned "reference mode" (Chain_dp.plan reference)
+    ("0x1.9d28e59fe50fbp+17", "9773c46074d0f7880c68b28c36fdf96d");
+  check_pinned "budget of 25 checkpoints"
+    (Chain_dp.solve_with_budget (random_cost_chain ~seed:99L ~lambda:2e-3 300)
+       ~checkpoints:25)
+    ("0x1.befa6b7c4245dp+10", "3c863023c2f521f8de00320c9dc35a36")
 
 let test_schedule_constructors () =
   let p = sample_problem () in
@@ -831,4 +939,8 @@ let suite =
     QCheck_alcotest.to_alcotest qcheck_smawk_skip_agreement;
     QCheck_alcotest.to_alcotest qcheck_dp_below_heuristics;
     QCheck_alcotest.to_alcotest qcheck_schedule_segments_cover;
+    Alcotest.test_case "pinned chain-1e6 generator plans" `Quick
+      test_pinned_chain_1e6_plans;
+    Alcotest.test_case "pinned random-cost, reference and budget plans" `Quick
+      test_pinned_random_cost_plans;
   ]

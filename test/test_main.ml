@@ -34,4 +34,5 @@ let () =
       ("lint", Test_lint.suite);
       ("bench", Test_bench.suite);
       ("serve", Test_serve.suite);
+      ("examples", Test_examples.suite);
     ]

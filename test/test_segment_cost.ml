@@ -280,6 +280,64 @@ let qcheck_kernel_matches_reference =
       done;
       !ok)
 
+(* The kernel's bits against the formula recomputed with fresh exp
+   calls, under Float.equal: with a = (λP(j+1) − λP(x)) + λC_j and
+   pre = e^(λR_x)·(1/λ + D), a segment costs
+   pre·(e^(λP(j+1))·e^(λC_j)·e^(−λP(x)) − 1) when the tables are on and
+   a ≥ small_threshold, and pre·expm1 a otherwise. The chains mix runs
+   of equal C and R with runs of distinct ones, and λ ranges from
+   all-expm1 chains through mixed ones to past the overflow cutoff. *)
+let qcheck_kernel_bits =
+  QCheck.Test.make ~name:"kernel bits = fresh-exp formula" ~count:200
+    QCheck.(triple (int_range 1 40) (int_range 0 10_000) (int_range 0 4))
+    (fun (n, seed, regime) ->
+      let rng = Rng.create ~seed:(Int64.of_int (seed + 57_000)) in
+      let lambda =
+        Rng.float_range rng 0.5 2.0 *. [| 1e-8; 1e-4; 1e-2; 0.3; 40.0 |].(regime)
+      in
+      (* A cost repeats its predecessor half the time. *)
+      let costs () =
+        let c = Array.make n (Rng.float_range rng 0.0 3.0) in
+        for i = 1 to n - 1 do
+          c.(i) <- (if Rng.bool rng then c.(i - 1) else Rng.float_range rng 0.0 3.0)
+        done;
+        c
+      in
+      let works = random_arrays rng n ~lo:0.5 ~hi:25.0 in
+      let checkpoints = costs () and recoveries = costs () in
+      let downtime = Rng.float_range rng 0.0 2.0 in
+      let kernel = kernel_of ~lambda ~downtime ~works ~checkpoints ~recoveries in
+      let prefix = Array.make (n + 1) 0.0 in
+      for i = 0 to n - 1 do
+        prefix.(i + 1) <- prefix.(i) +. works.(i)
+      done;
+      let lp i = lambda *. prefix.(i) in
+      let max_lam_ckpt =
+        Array.fold_left (fun m c -> Float.max m (lambda *. c)) 0.0 checkpoints
+      in
+      let lam_span = lp n +. max_lam_ckpt in
+      let tables = lam_span <= Segment_cost.overflow_cutoff in
+      let threshold = Float.max 1e-6 (lam_span *. 1e-5) in
+      let ok =
+        ref
+          (Bool.equal tables (Segment_cost.uses_tables kernel)
+          && Float.equal threshold (Segment_cost.small_threshold kernel))
+      in
+      for x = 0 to n - 1 do
+        let pre = exp (lambda *. recoveries.(x)) *. ((1.0 /. lambda) +. downtime) in
+        for j = x to n - 1 do
+          let a = lp (j + 1) -. lp x +. (lambda *. checkpoints.(j)) in
+          let expected =
+            if tables && a >= threshold then
+              pre *. ((exp (lp (j + 1)) *. exp (lambda *. checkpoints.(j)) *. exp (-.lp x)) -. 1.0)
+            else pre *. Float.expm1 a
+          in
+          if not (Float.equal expected (Segment_cost.cost kernel ~first:x ~last:j)) then
+            ok := false
+        done
+      done;
+      !ok)
+
 let suite =
   [
     Alcotest.test_case "kernel = reference across lambda decades" `Quick
@@ -293,4 +351,5 @@ let suite =
       test_monotone_dc_support;
     Alcotest.test_case "shape validation" `Quick test_shape_validation;
     QCheck_alcotest.to_alcotest qcheck_kernel_matches_reference;
+    QCheck_alcotest.to_alcotest qcheck_kernel_bits;
   ]

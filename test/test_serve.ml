@@ -468,6 +468,10 @@ let test_engine_unpriceable_recovery () =
       ( "independent", "plan_independent",
         params ~initial_recovery:0.0 [ 1.0; 710.0; 1.0; 1.0 ],
         "tasks[1].recovery" );
+      (* The largest R overflows first; the answer names the first. *)
+      ( "first of two", "plan_chain",
+        params ~initial_recovery:0.0 [ 1.0; 710.0; 1.0; 800.0 ],
+        "tasks[1].recovery" );
       ( "subnormal lambda", "plan_chain",
         params ~lambda:1e-310 ~initial_recovery:0.0 [ 1.0; 1.0 ],
         "lambda" );
